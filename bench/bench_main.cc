@@ -11,10 +11,7 @@
 //   --ops=N --trials=N --scale=N --max_threads=N --commits=N --many_commits=N
 //   --scale_waiters=N    waiter_scale point size (default 1e5, --quick 1e4)
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -66,6 +63,7 @@ void EmitWakeTrialRow(JsonWriter& w, const WakeTrialResult& r) {
   w.Key("wakeups").U64(r.wakeups);
   w.Key("vacuous_wakeups").U64(r.vacuous_wakeups);
   w.Key("genuine_wakeups").U64(r.genuine_wakeups);
+  w.Key("spin_wakeups").U64(r.spin_wakeups);
   // Latency distributions (src/obs/ histograms, hot phase only). Percentiles
   // are log2-bucket upper bounds — conservative for SLO claims.
   w.Key("commit_latency_count").U64(r.commit_latency_count);
@@ -280,82 +278,6 @@ void EmitCasClaimAblation(JsonWriter& w, const std::vector<Backend>& backends,
   w.EndArray();
 }
 
-// Before/after row for the memory-order diet (the [wake-publish] relaxation):
-// the publication op mix a waiter/writer pair executes on the WakeIndex
-// bitmaps — insert, scan, clear — timed once under the pre-diet blanket
-// seq_cst orders and once under the acq/rel//relaxed orders the code ships
-// with now. memory_order is an ordinary runtime value in C++, so both arms
-// run the identical instruction sequence apart from the ordering itself.
-struct MoDietResult {
-  const char* mode;
-  std::uint64_t ops;
-  double seconds;
-  double ops_per_sec;
-};
-
-MoDietResult RunMoDietTrial(bool before, std::uint64_t ops) {
-  // Order selection for the A/B arms. The analyzer requires these seq_cst
-  // mentions to be justified like any other site:
-  // mo: seq_cst — the "before" arm reproduces the pre-diet blanket seq_cst
-  // publication orders; the "after" arm uses the shipped [wake-publish]
-  // orders (release insert, acquire scan, relaxed clear).
-  // seq_cst-required: A/B measurement baseline, not a synchronization claim.
-  const std::memory_order insert_memory_order =
-      before ? std::memory_order_seq_cst : std::memory_order_release;
-  // mo: seq_cst — before-arm selector, as above.
-  // seq_cst-required: A/B measurement baseline, not a synchronization claim.
-  const std::memory_order scan_memory_order =
-      before ? std::memory_order_seq_cst : std::memory_order_acquire;
-  // mo: seq_cst — before-arm selector, as above.
-  // seq_cst-required: A/B measurement baseline, not a synchronization claim.
-  const std::memory_order clear_memory_order =
-      before ? std::memory_order_seq_cst : std::memory_order_relaxed;
-
-  constexpr int kWords = 64;
-  auto words = std::make_unique<std::atomic<std::uint64_t>[]>(kWords);
-  for (int i = 0; i < kWords; ++i) {
-    // mo: relaxed — single-threaded setup before the timed loop.
-    words[i].store(0, std::memory_order_relaxed);
-  }
-  std::uint64_t sink = 0;
-  auto t0 = std::chrono::steady_clock::now();
-  for (std::uint64_t i = 0; i < ops; ++i) {
-    const int w = static_cast<int>(i & (kWords - 1));
-    const std::uint64_t bit = std::uint64_t{1} << (i & 63);
-    words[w].fetch_or(bit, insert_memory_order);   // waiter: publish
-    sink += words[w].load(scan_memory_order);      // writer: scan
-    words[w].fetch_and(~bit, clear_memory_order);  // waiter: deregister
-  }
-  auto t1 = std::chrono::steady_clock::now();
-  // Keep `sink` observable so the scan load cannot be dropped.
-  if (sink == std::uint64_t{0x5eed}) {
-    std::printf("# sink %llu\n", static_cast<unsigned long long>(sink));
-  }
-  MoDietResult r;
-  r.mode = before ? "seq_cst_before" : "acq_rel_after";
-  r.ops = ops;
-  r.seconds = std::chrono::duration<double>(t1 - t0).count();
-  r.ops_per_sec = r.seconds > 0 ? static_cast<double>(ops) / r.seconds : 0.0;
-  return r;
-}
-
-void EmitMoDiet(JsonWriter& w, std::uint64_t ops) {
-  w.Key("mo_diet").BeginArray();
-  for (bool before : {true, false}) {
-    MoDietResult r = RunMoDietTrial(before, ops);
-    w.BeginObject();
-    w.Key("mode").String(r.mode);
-    w.Key("op_mix").String("wake_publish_insert_scan_clear");
-    w.Key("ops").U64(r.ops);
-    w.Key("seconds").Double(r.seconds);
-    w.Key("ops_per_sec").Double(r.ops_per_sec);
-    w.EndObject();
-    std::printf("mo_diet     mode=%-15s ops=%llu %.0f ops/s\n", r.mode,
-                static_cast<unsigned long long>(r.ops), r.ops_per_sec);
-  }
-  w.EndArray();
-}
-
 void EmitWaiterScaleRow(JsonWriter& w, const WaiterScaleResult& r) {
   w.BeginObject();
   w.Key("backend").String(BackendName(r.backend));
@@ -546,7 +468,6 @@ int Run(int argc, char** argv) {
     // at 256 waiters plus eager at 1024.
     EmitWakeBatchSweep(w, backends, many_waiter_counts, many_commits);
     EmitCasClaimAblation(w, backends, commits);
-    EmitMoDiet(w, flags.GetU64("mo_diet_ops", quick ? 2000000 : 20000000));
   }
   if (scenario == "all" || scenario == "waiter_scale") {
     // 10^5 parked waiters per full-run point; CI (--quick) runs the 10^4

@@ -132,6 +132,7 @@ WakeTrialResult RunWakeIndexTrial(const WakeTrialOptions& opts) {
   // genuine wakes (they inflate wake-precision metrics).
   r.vacuous_wakeups = st.Get(Counter::kVacuousWakeups);
   r.genuine_wakeups = r.wakeups - r.vacuous_wakeups;
+  r.spin_wakeups = st.Get(Counter::kSpinWakeups);
   r.wake_checks_per_commit = static_cast<double>(r.wake_checks) /
                              static_cast<double>(opts.producer_commits);
   r.wake_batches_per_commit = static_cast<double>(r.wake_batches) /

@@ -73,16 +73,19 @@ struct WakeTrialResult {
   std::uint64_t cas_claims = 0;    // waiters claimed without any wake tx
   std::uint64_t cas_fallbacks = 0;  // fast-path bails into the batched path
   std::uint64_t wake_tx_aborts = 0;  // aborted wake-transaction attempts
-  std::uint64_t wakeups = 0;       // all semaphore posts, vacuous included
+  std::uint64_t wakeups = 0;       // all wake-token posts, vacuous included
   // Conservative empty-waitset posts: no evidence anyone was satisfied, so
   // precision rows report genuine_wakeups = wakeups - vacuous_wakeups.
   std::uint64_t vacuous_wakeups = 0;
   std::uint64_t genuine_wakeups = 0;
+  // Waiter sleeps whose wake token arrived during the gated spin, before the
+  // waiter blocked: the spin hit rate is spin_wakeups / wakeups.
+  std::uint64_t spin_wakeups = 0;
   double wake_checks_per_commit = 0.0;
   double wake_batches_per_commit = 0.0;
   // Latency distributions (log2-bucket histograms, src/obs/), sampled over the
   // hot-producer phase only. Commit latency covers the producer's committed
-  // attempts; wake latency is the waker's semaphore post → waiter resume
+  // attempts; wake latency is the waker's token post → waiter resume
   // hand-off. Percentile values are bucket upper bounds (conservative).
   std::uint64_t commit_latency_count = 0;
   std::uint64_t commit_p50_ns = 0;

@@ -2,8 +2,10 @@
 
 #include <condition_variable>
 #include <mutex>
+#include <thread>
 
 #include "src/common/cache_line.h"
+#include "src/common/cpu.h"
 
 #if defined(__linux__)
 #include <linux/futex.h>
@@ -23,6 +25,39 @@ namespace {
 // low-bit alignment structure) spread evenly.
 constexpr std::size_t kNumBuckets = 251;
 
+std::uint64_t NsSince(std::chrono::steady_clock::time_point t) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - t)
+          .count());
+}
+
+// Folds one finished wait into the spot's gate EWMA (alpha = 1/8).
+void RecordWait(ParkSpot& spot, std::uint64_t ns) {
+  spot.wait_ewma_ns = (7 * spot.wait_ewma_ns + ns) / 8;
+}
+
+// The wait-length clock of a blocking call: started at the first block, read
+// once when the call consumes its token.
+class BlockClock {
+ public:
+  void OnBlock() {
+    if (!blocked_) {
+      blocked_ = true;
+      start_ = std::chrono::steady_clock::now();
+    }
+  }
+  void OnDone(ParkSpot& spot) const {
+    if (blocked_) {
+      RecordWait(spot, NsSince(start_));
+    }
+  }
+
+ private:
+  bool blocked_ = false;
+  std::chrono::steady_clock::time_point start_{};
+};
+
 }  // namespace
 
 // One hashed bucket of the pool backend. The mutex is held only around the
@@ -35,6 +70,10 @@ struct alignas(kCacheLineBytes) ParkingLot::Bucket {
 };
 
 ParkingLot::ParkingLot(Backend backend) {
+  // Asked once per process: the query reads sysfs, which would add tens of
+  // microseconds to every TmSystem construction.
+  static const bool kMultiCpu = std::thread::hardware_concurrency() > 1;
+  can_spin_ = kMultiCpu;
 #if defined(__linux__)
   use_futex_ = (backend != Backend::kPool);
 #else
@@ -60,8 +99,29 @@ ParkingLot::Bucket& ParkingLot::BucketOf(const ParkSpot& spot) {
   return buckets_[(a >> 4) % kNumBuckets];
 }
 
+bool ParkingLot::AdvertiseSleeper(ParkSpot& spot, std::uint32_t& observed) {
+  if ((observed & kSleeper) != 0u) {
+    return true;  // still set from an earlier block of this same wait
+  }
+  // mo: relaxed — [park-handoff] rider: the sleeper bit needs no ordering of
+  // its own. This CAS and the poster's fetch_or are RMWs on the same word, so
+  // one precedes the other in its modification order: either the fetch_or
+  // sees the bit and wakes us, or the CAS fails on the posted token and we
+  // re-check instead of blocking. The futex (or the bucket mutex) re-checks
+  // the word before sleeping, closing the window after a successful CAS.
+  if (!spot.state.compare_exchange_strong(observed, observed | kSleeper,
+                                          std::memory_order_relaxed)) {
+    return false;
+  }
+  observed |= kSleeper;
+  return true;
+}
+
 void ParkingLot::WaitOn(ParkSpot& spot, std::uint32_t wanted,
                         std::uint32_t observed) {
+  if (!AdvertiseSleeper(spot, observed)) {
+    return;
+  }
 #if defined(__linux__)
   if (use_futex_) {
     // The kernel re-checks state == observed under its own lock before
@@ -71,8 +131,6 @@ void ParkingLot::WaitOn(ParkSpot& spot, std::uint32_t wanted,
             FUTEX_WAIT_PRIVATE, observed, nullptr, nullptr, 0);
     return;
   }
-#else
-  (void)observed;
 #endif
   Bucket& b = BucketOf(spot);
   std::unique_lock<std::mutex> lk(b.m);
@@ -90,6 +148,9 @@ void ParkingLot::WaitOn(ParkSpot& spot, std::uint32_t wanted,
 void ParkingLot::WaitOnUntil(ParkSpot& spot, std::uint32_t wanted,
                              std::uint32_t observed,
                              std::chrono::steady_clock::time_point deadline) {
+  if (!AdvertiseSleeper(spot, observed)) {
+    return;
+  }
 #if defined(__linux__)
   if (use_futex_) {
     // FUTEX_WAIT_BITSET takes an *absolute* timespec; with
@@ -110,8 +171,6 @@ void ParkingLot::WaitOnUntil(ParkSpot& spot, std::uint32_t wanted,
             FUTEX_BITSET_MATCH_ANY);
     return;
   }
-#else
-  (void)observed;
 #endif
   Bucket& b = BucketOf(spot);
   std::unique_lock<std::mutex> lk(b.m);
@@ -143,10 +202,13 @@ void ParkingLot::WakeAll(ParkSpot& spot) {
 void ParkingLot::Post(ParkSpot& spot) {
   // mo: release — [park-handoff] release endpoint: publishes the wake token
   // after the claim commit and wake-post stamp; the owner's token-consuming
-  // acquire RMW (ConsumeToken/ParkEither) pairs with this, making the
-  // committed claim visible to the woken waiter.
-  spot.state.fetch_or(kWakeToken, std::memory_order_release);
-  WakeAll(spot);
+  // acquire RMW (ConsumeToken/ParkEither/ParkUntil) pairs with this, making
+  // the committed claim visible to the woken waiter. The value it returns
+  // says whether the owner had blocked (see AdvertiseSleeper).
+  std::uint32_t prev = spot.state.fetch_or(kWakeToken, std::memory_order_release);
+  if ((prev & kSleeper) != 0u) {
+    WakeAll(spot);
+  }
 }
 
 bool ParkingLot::PostTimeout(ParkSpot& spot, std::uint64_t epoch) {
@@ -158,13 +220,45 @@ bool ParkingLot::PostTimeout(ParkSpot& spot, std::uint64_t epoch) {
   }
   // mo: release — [wheel-tick] release endpoint: the ticker publishes the
   // timeout token; the owner's token-consuming acquire RMW in ParkEither
-  // pairs with it.
-  spot.state.fetch_or(kTimeoutToken, std::memory_order_release);
-  WakeAll(spot);
+  // pairs with it. The returned value carries the sleeper bit, as in Post.
+  std::uint32_t prev =
+      spot.state.fetch_or(kTimeoutToken, std::memory_order_release);
+  if ((prev & kSleeper) != 0u) {
+    WakeAll(spot);
+  }
   return true;
 }
 
-void ParkingLot::ConsumeToken(ParkSpot& spot) {
+bool ParkingLot::Spin(ParkSpot& spot, std::uint32_t wanted) {
+  // mo: acquire — [park-handoff] peek; the caller's consuming RMW is the
+  // edge's real acquire endpoint.
+  if ((spot.state.load(std::memory_order_acquire) & wanted) != 0u) {
+    RecordWait(spot, 0);
+    return true;
+  }
+  if (!can_spin_ || spot.wait_ewma_ns > kSpinGateNs) {
+    return false;
+  }
+  const auto start = std::chrono::steady_clock::now();
+  for (unsigned i = 1;; ++i) {
+    CpuRelax();
+    // mo: relaxed — [park-handoff] rider: a poll only; the caller's
+    // consuming acquire RMW is the edge's endpoint.
+    if ((spot.state.load(std::memory_order_relaxed) & wanted) != 0u) {
+      RecordWait(spot, NsSince(start));
+      return true;
+    }
+    // The clock is read every 32 polls: cheap, yet the budget overshoots
+    // by well under a microsecond.
+    if (i % 32 == 0 && NsSince(start) >= kSpinNs) {
+      return false;
+    }
+  }
+}
+
+bool ParkingLot::ConsumeToken(ParkSpot& spot) {
+  const bool spun = Spin(spot, kWakeToken);
+  BlockClock clock;
   for (;;) {
     // mo: acquire — [park-handoff] peek before deciding to consume or sleep;
     // the consuming RMW below is the edge's real acquire endpoint.
@@ -176,15 +270,18 @@ void ParkingLot::ConsumeToken(ParkSpot& spot) {
       // mo: acquire — [park-handoff] acquire endpoint: consuming the wake
       // token pairs with Post's release fetch_or, so everything the waker
       // did before posting is visible here.
-      spot.state.fetch_and(~(kWakeToken | kTimeoutToken),
+      spot.state.fetch_and(~(kWakeToken | kTimeoutToken | kSleeper),
                            std::memory_order_acquire);
-      return;
+      clock.OnDone(spot);
+      return spun;
     }
+    clock.OnBlock();
     WaitOn(spot, kWakeToken, s);
   }
 }
 
 bool ParkingLot::ParkEither(ParkSpot& spot) {
+  BlockClock clock;
   for (;;) {
     // mo: acquire — [park-handoff] peek before deciding to consume or sleep;
     // the consuming RMWs below are the edges' real acquire endpoints.
@@ -193,8 +290,9 @@ bool ParkingLot::ParkEither(ParkSpot& spot) {
       // Wake beats a racing timeout: the claim protocol committed a wakeup
       // for this sleep, so the timeout token (if any) is stale — clear both.
       // mo: acquire — [park-handoff] acquire endpoint (see ConsumeToken).
-      spot.state.fetch_and(~(kWakeToken | kTimeoutToken),
+      spot.state.fetch_and(~(kWakeToken | kTimeoutToken | kSleeper),
                            std::memory_order_acquire);
+      clock.OnDone(spot);
       return true;
     }
     if ((s & kTimeoutToken) != 0u) {
@@ -202,35 +300,41 @@ bool ParkingLot::ParkEither(ParkSpot& spot) {
       // token pairs with PostTimeout's release fetch_or. Only the timeout
       // bit is cleared — a wake token that lands after this read must
       // survive for the caller's timeout/wakeup drain.
-      spot.state.fetch_and(~kTimeoutToken, std::memory_order_acquire);
+      spot.state.fetch_and(~(kTimeoutToken | kSleeper),
+                           std::memory_order_acquire);
+      clock.OnDone(spot);
       return false;
     }
+    clock.OnBlock();
     WaitOn(spot, kWakeToken | kTimeoutToken, s);
   }
 }
 
 bool ParkingLot::ParkUntil(ParkSpot& spot,
                            std::chrono::steady_clock::time_point deadline) {
+  BlockClock clock;
   for (;;) {
     // mo: acquire — [park-handoff] peek before deciding to consume or sleep;
     // the consuming RMW below is the edge's real acquire endpoint.
     std::uint32_t s = spot.state.load(std::memory_order_acquire);
     if ((s & kWakeToken) != 0u) {
       // mo: acquire — [park-handoff] acquire endpoint (see ConsumeToken).
-      spot.state.fetch_and(~(kWakeToken | kTimeoutToken),
+      spot.state.fetch_and(~(kWakeToken | kTimeoutToken | kSleeper),
                            std::memory_order_acquire);
+      clock.OnDone(spot);
       return true;
     }
     if (std::chrono::steady_clock::now() >= deadline) {
-      // At the deadline, still grab a token that raced in — same edge
-      // semantics as Semaphore::WaitUntil's final TryWait, so the caller's
+      // At the deadline, still grab a token that raced in, so the caller's
       // timeout/wakeup drain behaves identically on both timed paths.
       // mo: acquire — [park-handoff] acquire endpoint for the raced-in
       // token; pairs with Post's release fetch_or.
       std::uint32_t prev = spot.state.fetch_and(
-          ~(kWakeToken | kTimeoutToken), std::memory_order_acquire);
+          ~(kWakeToken | kTimeoutToken | kSleeper), std::memory_order_acquire);
+      clock.OnDone(spot);
       return (prev & kWakeToken) != 0u;
     }
+    clock.OnBlock();
     WaitOnUntil(spot, kWakeToken, s, deadline);
   }
 }

@@ -4,7 +4,7 @@
 // is one kernel object (plus one sem_t cache line) per waiter — invisible at
 // the paper's four threads, dominant at the capacity tier's 10^5–10^6 parked
 // waiters. A ParkingLot replaces the per-slot semaphore with a per-slot
-// *word*: each waiter owns a ParkSpot (two words embedded in its TxDesc), and
+// *word*: each waiter owns a ParkSpot (a few words embedded in its TxDesc), and
 // the lot blocks/wakes threads on that word through a shared facility —
 // futex(2) on Linux, where the kernel needs no per-waiter object at all, or a
 // small hashed pool of mutex+condvar buckets keyed by spot address elsewhere.
@@ -35,6 +35,22 @@
 // is the [wheel-tick] edge. The blocking facility underneath (futex or the
 // bucket mutex) only adds sleep/wake; it carries no data on its own, which is
 // what lets both backends share one protocol with zero seq_cst.
+//
+// Short waits stay in user space on both sides:
+//
+//   Gated spin — before blocking, the owner polls the token word for up to
+//                kSpinNs (Spin), but only while its spot's recent waits were
+//                short: an EWMA of wait length, kept in the spot, must be at
+//                most kSpinGateNs. A thread whose waits run long (a barrier
+//                parked for milliseconds) stops spinning by itself; a run of
+//                short waits re-opens the gate. Single-CPU machines never
+//                spin — the poster could not run while the waiter spins.
+//   Sleeper bit — the owner sets kSleeper (a CAS on the token word) just
+//                before the futex or condvar block, and the consuming RMWs
+//                clear it. Post and PostTimeout make the wake syscall only
+//                when their fetch_or saw the bit, so posting to a waiter that
+//                is still spinning, or has not reached its park yet, costs
+//                one RMW and no syscall.
 #ifndef TCS_COMMON_PARKING_LOT_H_
 #define TCS_COMMON_PARKING_LOT_H_
 
@@ -45,21 +61,33 @@
 
 namespace tcs {
 
-// One waiter's parking place: a token word plus the timed-wait epoch. Embed
-// one per thread (TxDesc::park); the owning thread is the only consumer, the
-// claiming waker and the timer wheel are the only producers.
+// One waiter's parking place: a token word, the timed-wait epoch, and the
+// owner's spin gate. Embed one per thread (TxDesc::park); the owning thread is
+// the only consumer, the claiming waker and the timer wheel are the only
+// producers.
 struct ParkSpot {
   std::atomic<std::uint32_t> state{0};
   // Timed-wait generation, bumped by ArmTimed before each timed sleep; a
   // TimerWheel entry fires only if its captured epoch still matches
   // (lazy cancellation — see PostTimeout).
   std::atomic<std::uint64_t> epoch{0};
+  // Owner-only: EWMA (alpha = 1/8) of this spot's recent wait lengths in ns,
+  // the input of the spin gate. Read and written only by the consumer side,
+  // which runs on the owning thread, so it needs no atomicity.
+  std::uint64_t wait_ewma_ns = 0;
 };
 
 class ParkingLot {
  public:
   static constexpr std::uint32_t kWakeToken = 1u << 0;
   static constexpr std::uint32_t kTimeoutToken = 1u << 1;
+  // Set by the owner just before it blocks; tells a poster to wake it.
+  static constexpr std::uint32_t kSleeper = 1u << 2;
+
+  // Spin budget per wait, and the gate: a spot spins only while its wait
+  // EWMA is at most kSpinGateNs.
+  static constexpr std::uint64_t kSpinNs = 20'000;
+  static constexpr std::uint64_t kSpinGateNs = 50'000;
 
   // Backend selection (TmConfig::park_backend uses the same numbering):
   // kAuto picks futex where available (Linux), else the mutex+condvar pool.
@@ -78,26 +106,40 @@ class ParkingLot {
 
   // True when futex backs this lot (bench reporting; pool otherwise).
   bool UsesFutex() const { return use_futex_; }
+  // False on a single-CPU machine, where Spin never spins.
+  bool CanSpin() const { return can_spin_; }
 
   // Producer side. Post delivers the wake token (exactly once per committed
   // claim — the caller's protocol, not ours). PostTimeout delivers the
   // timeout token iff `epoch` still matches the spot's current epoch; returns
   // false when the fire was stale (the wait it belonged to already ended).
+  // Either makes the wake syscall only when the owner has blocked (kSleeper).
   void Post(ParkSpot& spot);
   bool PostTimeout(ParkSpot& spot, std::uint64_t epoch);
 
-  // Consumer side (spot owner only). ConsumeToken blocks until the wake token
-  // is present and clears it (a stale timeout token is cleared with it — the
-  // timed wait it belonged to is over). ParkEither blocks until either token
-  // is present: true = wake token consumed, false = timeout token consumed.
-  void ConsumeToken(ParkSpot& spot);
-  bool ParkEither(ParkSpot& spot);
+  // Consumer side (spot owner only).
+  //
+  // Spin is the first phase of a wait: returns true when a `wanted` token is
+  // present — already, or after polling for up to kSpinNs while the spot's
+  // gate is open. It consumes nothing. A wait that Spin ends is folded into
+  // the gate here; a wait that goes on to block is folded in by the blocking
+  // call, measured from its first block.
+  bool Spin(ParkSpot& spot, std::uint32_t wanted);
 
-  // Wheel-less timed park (TmConfig::timer_wheel = false ablation): blocks
-  // until the wake token or `deadline`. Mirrors Semaphore::WaitUntil's edge
-  // semantics — at the deadline a token that already raced in is still
-  // consumed (returns true), so the caller's timeout/wakeup drain sees the
-  // same outcomes on both timed paths.
+  // Untimed wait: spins, then blocks until the wake token is present and
+  // clears it (a stale timeout token is cleared with it — the timed wait it
+  // belonged to is over). Returns true when the wait ended without blocking.
+  bool ConsumeToken(ParkSpot& spot);
+
+  // Timed waits. Their caller spins (Spin) before arming the timeout, so
+  // that a wait the spin satisfies never touches the wheel; these two block
+  // straight away. ParkEither blocks until either token is present: true =
+  // wake token consumed, false = timeout token consumed. ParkUntil is the
+  // wheel-less variant (TmConfig::timer_wheel = false ablation): it blocks
+  // until the wake token or `deadline`, and at the deadline a token that
+  // already raced in is still consumed (returns true), so the caller's
+  // timeout/wakeup drain sees the same outcomes on both timed paths.
+  bool ParkEither(ParkSpot& spot);
   bool ParkUntil(ParkSpot& spot,
                  std::chrono::steady_clock::time_point deadline);
 
@@ -117,15 +159,20 @@ class ParkingLot {
 
   // Blocks until `spot.state & wanted` is nonzero (may also return early —
   // callers loop). `observed` is the state value the caller just read with
-  // none of the wanted bits set.
+  // none of the wanted bits set; the sleeper bit is advertised first, and a
+  // state change under that CAS returns at once for the caller to re-check.
   void WaitOn(ParkSpot& spot, std::uint32_t wanted, std::uint32_t observed);
   // Timed variant; returns once a wanted bit is set or the deadline passed.
   void WaitOnUntil(ParkSpot& spot, std::uint32_t wanted, std::uint32_t observed,
                    std::chrono::steady_clock::time_point deadline);
+  // Sets kSleeper in `observed` and the state word; false when the state
+  // moved first (`observed` then holds the new value).
+  static bool AdvertiseSleeper(ParkSpot& spot, std::uint32_t& observed);
   void WakeAll(ParkSpot& spot);
   Bucket& BucketOf(const ParkSpot& spot);
 
   bool use_futex_;
+  bool can_spin_;
   // Hashed mutex+condvar buckets, allocated only for the pool backend.
   std::unique_ptr<Bucket[]> buckets_;
 };

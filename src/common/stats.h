@@ -19,8 +19,8 @@ enum class Counter : int {
   kExplicitRestarts,  // Restart mechanism re-executions
   kRetryRestarts,     // first Retry() pass that re-executes to build the waitset
   kDeschedules,       // times a thread published itself and considered sleeping
-  kSleeps,            // times a thread actually blocked on its semaphore
-  kWakeups,           // semaphore posts issued by wakeWaiters
+  kSleeps,            // times a registered thread waited for its wake token
+  kWakeups,           // wake-token posts made by wakeWaiters
   kWakeChecks,        // waitfunc evaluations performed by writers
   kFalseWakeups,      // woken but condition still unsatisfied on re-execution
   kHtmFallbacks,      // simulated HTM transitions to serial-irrevocable mode
@@ -68,6 +68,8 @@ enum class Counter : int {
                        // wake_batch_size tids)
   kCondVarRingGrowths,  // TMCondVar ring doublings forced by a full ring
                         // (the pre-fix code silently overwrote a parked tid)
+  kSpinWakeups,  // Deschedule sleeps whose wake token arrived before the
+                 // waiter blocked (ParkingLot's gated spin); subset of kSleeps
   kNumCounters,
 };
 

@@ -116,13 +116,15 @@ void TimerWheel::AdvanceOneTick() {
 
 void TimerWheel::Schedule(ParkSpot* spot, std::uint64_t epoch,
                           std::chrono::steady_clock::time_point deadline) {
+  bool was_empty;
   {
     std::lock_guard<std::mutex> lk(mu_);
     if (!ticker_started_) {
       ticker_started_ = true;
       ticker_ = std::thread([this] { TickerMain(); });
     }
-    if (pending_ == 0) {
+    was_empty = pending_ == 0;
+    if (was_empty) {
       // Arming an empty wheel: jump the cursor to "now" without counting the
       // skipped ticks — idle periods advance time, not Stats::ticks.
       std::uint64_t now_tick = TickOf(std::chrono::steady_clock::now());
@@ -134,7 +136,12 @@ void TimerWheel::Schedule(ParkSpot* spot, std::uint64_t epoch,
     pending_++;
     Place(Entry{spot, epoch, TickOf(deadline)});
   }
-  cv_.notify_all();
+  // Only an empty wheel's ticker sleeps without a deadline. With entries
+  // pending it already sleeps until the next tick, and Place never files an
+  // entry earlier than that tick, so waking it would buy nothing.
+  if (was_empty) {
+    cv_.notify_all();
+  }
 }
 
 void TimerWheel::TickerMain() {

@@ -1,7 +1,7 @@
 // Hierarchical timer wheel for timed waits at the capacity tier.
 //
 // The paper's timed waits (RetryFor / AwaitFor / WaitPredFor) each burned a
-// private Semaphore::WaitUntil: N concurrent timed waits are N independent
+// private semaphore's timed wait: N concurrent timed waits are N independent
 // kernel timeouts, N wakeups per deadline storm, and N timer-queue entries
 // the kernel must sort. At 10^5+ timed waiters that is the dominant cost of
 // the wait path. The wheel collapses them to O(1) amortized per tick with

@@ -83,8 +83,8 @@ void TmSystem::DescheduleImpl(WaitPredFn fn, const WaitArgs& args, bool timed) {
   // transaction can commit; committing writers order their peeks against both
   // through the clock.
   if (cfg_.targeted_wakeup && ws != nullptr && !ws->Empty()) {
-    std::vector<const Orec*> read_orecs;
-    read_orecs.reserve(ws->Size());
+    std::vector<const Orec*>& read_orecs = d.wait_orec_scratch;
+    read_orecs.clear();
     for (const WaitSet::Entry& e : ws->entries()) {
       read_orecs.push_back(&orecs_.For(e.addr));
     }
@@ -123,14 +123,20 @@ void TmSystem::DescheduleImpl(WaitPredFn fn, const WaitArgs& args, bool timed) {
     TCS_TRACE_EVENT(d, TraceEvent::kSleep, 0);
     std::uint64_t sleep_start_ns = cfg_.latency_metrics ? ObsNowNs() : 0;
     bool acquired = true;
+    bool spun = false;
     if (timed) {
       // Deadline set by the DeadlineExpired check of the *For call that led
-      // here. With the timer wheel, the sleep registers an epoch-stamped
+      // here. The gated spin comes first, so a wait it satisfies arms no
+      // timeout at all: the wheel's mutex and the ticker stay untouched.
+      // With the timer wheel, the sleep registers an epoch-stamped
       // timeout with the shared ticker and parks for either token; a stale
       // fire (a wheel post for an earlier epoch of this spot) wakes us with
       // the timeout token but no expired deadline, so we re-arm and re-park —
       // ArmTimed bumps the epoch, which retires the stale registration.
-      if (wheel_ != nullptr) {
+      if (lot_.Spin(d.park, ParkingLot::kWakeToken)) {
+        spun = true;
+        lot_.ParkEither(d.park);  // consumes the wake token without blocking
+      } else if (wheel_ != nullptr) {
         for (;;) {
           std::uint64_t epoch = lot_.ArmTimed(d.park);
           wheel_->Schedule(&d.park, epoch, d.active_deadline);
@@ -145,7 +151,10 @@ void TmSystem::DescheduleImpl(WaitPredFn fn, const WaitArgs& args, bool timed) {
         acquired = lot_.ParkUntil(d.park, d.active_deadline);
       }
     } else {
-      lot_.ConsumeToken(d.park);
+      spun = lot_.ConsumeToken(d.park);
+    }
+    if (spun) {
+      d.stats.Bump(Counter::kSpinWakeups);
     }
     if (cfg_.latency_metrics) {
       std::uint64_t now = ObsNowNs();
@@ -232,7 +241,7 @@ void TmSystem::DescheduleImpl(WaitPredFn fn, const WaitArgs& args, bool timed) {
 // findChanges candidate with a single orec CAS and no transaction at all
 // (TryCasWakeClaim below), and (3) evaluates predicates and claims slots for
 // the leftover candidates in batches of up to the effective batch size inside
-// ONE wake transaction each, posting every claimed semaphore strictly after
+// ONE wake transaction each, posting every claimed park spot strictly after
 // its claim is durable. With adaptive_wake_batch the effective batch size
 // shrinks while the recent wake-transaction abort rate (EWMA in TxDesc) is
 // high, degrading toward the paper's per-candidate baseline under contention
@@ -611,7 +620,7 @@ void TmSystem::WakeWaiters(const std::vector<const Orec*>& write_orecs) {
       TCS_TRACE_EVENT(d, TraceEvent::kWakeBatch, claims.size());
     }
     for (const TxDesc::WakeClaim& c : claims) {
-      // The semaphore post is an escape action, so it happens strictly after
+      // The token post is an escape action, so it happens strictly after
       // the wake transaction commits (Algorithm 4, line 9).
       TCS_PROTO(proto_->OnWakePost(c.tid));
       WaiterSlot& claimed = waiters_->slot(c.tid);

@@ -45,7 +45,7 @@ void RetryOrigRegistry::WaitForOverlap(TxDesc& d,
       // mo: acquire — [orec-publish], and a [retry-dekker] rider: the waiter's
       // seq_cst fence above orders this load after the count raise, so either
       // it sees the writer's orec release or the writer's count peek sees us
-      // and its OnWriterCommit posts our semaphore.
+      // and its OnWriterCommit posts our park spot.
       std::uint64_t w = o->word.load(std::memory_order_acquire);
       if (!Orec::IsLocked(w) && Orec::Version(w) <= start) {
         continue;

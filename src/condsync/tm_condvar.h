@@ -57,8 +57,8 @@ class TmCondVar {
   void Grow(TmSystem& sys, TmWord h, TmWord t, TmWord cap);
 
   // Pops up to `max` waiting tids inside ONE internal transaction, appending
-  // them to `out`; returns the number popped. Semaphore posts are the caller's
-  // job, strictly after this commits.
+  // them to `out`; returns the number popped. Posting the popped waiters'
+  // park spots is the caller's job, strictly after this commits.
   std::size_t PopBatch(TmSystem& sys, std::size_t max, std::vector<int>& out);
 
   // All four words are transactional state (accessed via sys.Read/Write).

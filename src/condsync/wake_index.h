@@ -245,6 +245,19 @@ struct Orec;
 //                  semaphore's internal post/wait pair used to provide. The
 //                  futex/condvar machinery underneath only adds sleep/wake
 //                  and carries no data ordering of its own.
+//                  Sleeper bit: the owner CASes kSleeper into the same word
+//                  just before it blocks, and Post/PostTimeout make the wake
+//                  syscall only when their fetch_or returned that bit. The
+//                  CAS is relaxed and adds no seq_cst: it and the fetch_or
+//                  are RMWs on one location, so its modification order
+//                  decides — either the fetch_or reads the bit (and wakes),
+//                  or the CAS fails on the token (and the owner re-checks
+//                  instead of blocking) — and the futex, or the bucket
+//                  mutex, re-checks the word before sleeping. Before
+//                  blocking the owner also spins on the word (relaxed polls
+//                  riding this edge) for up to 20 us, gated on an EWMA of
+//                  its spot's wait lengths, so short waits never reach the
+//                  kernel on either side.
 //
 //  [wheel-tick]    (minimal: release/acquire)
 //                  TimerWheel timeout-token delivery: the ticker posts the

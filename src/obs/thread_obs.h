@@ -41,9 +41,9 @@ struct ThreadObs {
   // any parked time in between — deliberately, since that is the price the
   // caller paid for contention/waiting.
   LatencyHistogram abort_to_commit;
-  // Deschedule sleep → semaphore acquired (how long waits actually last).
+  // Deschedule sleep → wake token consumed (how long waits actually last).
   LatencyHistogram wait_duration;
-  // Waker's semaphore post → waiter resume (wake-path hand-off cost).
+  // Waker's token post → waiter resume (wake-path hand-off cost).
   LatencyHistogram wake_latency;
 
   TraceRing ring;

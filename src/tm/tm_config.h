@@ -82,7 +82,7 @@ struct TmConfig {
   // then pays a full tx setup/commit (clock RMW included) on the committing
   // writer's critical path. Batching amortizes that: up to `wake_batch_size`
   // candidates are predicate-checked and claimed inside ONE wake transaction,
-  // with all claimed semaphores posted strictly after it commits (see
+  // with all claimed park spots posted strictly after it commits (see
   // deschedule.cc for why the no-lost-wakeup argument survives batching).
   // 1 reverts to the paper's per-candidate transactions (ablation baseline).
   // With adaptive_wake_batch on, this is the CAP on the effective batch size;

@@ -175,7 +175,7 @@ class TmSystem {
   // empty (or targeting is disabled) the pass degrades to the paper's global
   // scan over every registered waiter. Candidates are wake-checked in batched
   // internal transactions of up to TmConfig::wake_batch_size, with claimed
-  // semaphores posted strictly after each batch commits (see deschedule.cc
+  // park spots posted strictly after each batch commits (see deschedule.cc
   // for the batched claim/post protocol).
   void WakeWaiters(const std::vector<const Orec*>& write_orecs);
 

@@ -103,6 +103,9 @@ struct TxDesc {
   bool retry_logging = false;  // the paper's is_retry: log ⟨addr,value⟩ on every read
   ParkSpot park;               // per-thread parking place (ParkingLot tokens)
   bool woke_from_sleep = false;
+  // The orecs of the waitset being indexed, rebuilt per indexed deschedule
+  // into this reused buffer (like the wakeWaiters scratch below).
+  std::vector<const Orec*> wait_orec_scratch;
 
   // --- OrElse / timed-wait state ---
   // Number of OrElse alternatives the current attempt still has available; a

@@ -92,9 +92,11 @@ TEST_P(CasClaimTest, DisjointWaitersClaimWithoutWakeTransactions) {
     for (int t = 0; t < n_waiters; ++t) {
       Atomically(rt.sys(),
                  [&](Tx& tx) { tx.Store(cells[t].v, std::uint64_t{1}); });
-    }
-    for (auto& w : waiters) {
-      w.join();
+      // Let the woken waiter finish before the next release. A waiter woken
+      // in its spin otherwise runs its deregistration and restart while the
+      // writer claims the next waiter, and any conflict between the two
+      // sends that claim to a wake transaction.
+      waiters[static_cast<std::size_t>(t)].join();
     }
     TxStats s = rt.AggregateStats();
     EXPECT_EQ(s.Get(Counter::kCasWakeClaims),

@@ -7,9 +7,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <semaphore>
 #include <thread>
 
-#include "src/common/semaphore.h"
 #include "src/core/runtime.h"
 #include "src/core/transaction.h"
 #include "src/tm/sim_htm.h"
@@ -42,8 +42,8 @@ TEST(TimestampExtensionTest, SalvagesReadAfterUnrelatedCommit) {
   Runtime rt(EagerExtConfig());
   std::uint64_t x = 1;
   std::uint64_t y = 2;
-  Semaphore reader_paused;
-  Semaphore writer_done;
+  std::binary_semaphore reader_paused{0};
+  std::binary_semaphore writer_done{0};
 
   std::thread reader([&] {
     bool paused = false;
@@ -51,8 +51,8 @@ TEST(TimestampExtensionTest, SalvagesReadAfterUnrelatedCommit) {
       std::uint64_t a = tx.Load(x);
       if (!paused) {
         paused = true;
-        reader_paused.Post();
-        writer_done.Wait();  // let a writer commit mid-transaction
+        reader_paused.release();
+        writer_done.acquire();  // let a writer commit mid-transaction
       }
       // y's orec version is now greater than this transaction's start time; the
       // extension must revalidate {x} and accept instead of aborting.
@@ -62,9 +62,9 @@ TEST(TimestampExtensionTest, SalvagesReadAfterUnrelatedCommit) {
     EXPECT_EQ(pair.first, 1u);
     EXPECT_EQ(pair.second, 20u);
   });
-  reader_paused.Wait();
+  reader_paused.acquire();
   Atomically(rt.sys(), [&](Tx& tx) { tx.Store(y, std::uint64_t{20}); });
-  writer_done.Post();
+  writer_done.release();
   reader.join();
 
   TxStats s = rt.AggregateStats();
@@ -76,8 +76,8 @@ TEST(TimestampExtensionTest, ConflictingCommitStillAborts) {
   Runtime rt(EagerExtConfig());
   std::uint64_t x = 1;
   std::uint64_t y = 2;
-  Semaphore reader_paused;
-  Semaphore writer_done;
+  std::binary_semaphore reader_paused{0};
+  std::binary_semaphore writer_done{0};
 
   std::thread reader([&] {
     bool paused = false;
@@ -86,8 +86,8 @@ TEST(TimestampExtensionTest, ConflictingCommitStillAborts) {
       (void)a;
       if (!paused) {
         paused = true;
-        reader_paused.Post();
-        writer_done.Wait();
+        reader_paused.release();
+        writer_done.acquire();
         // The writer changed x itself: extension must fail, aborting here.
         std::uint64_t b = tx.Load(y);
         (void)b;
@@ -96,12 +96,12 @@ TEST(TimestampExtensionTest, ConflictingCommitStillAborts) {
       EXPECT_EQ(tx.Load(x), 10u);  // second attempt sees the new value
     });
   });
-  reader_paused.Wait();
+  reader_paused.acquire();
   Atomically(rt.sys(), [&](Tx& tx) {
     tx.Store(x, std::uint64_t{10});
     tx.Store(y, std::uint64_t{20});
   });
-  writer_done.Post();
+  writer_done.release();
   reader.join();
 
   TxStats s = rt.AggregateStats();
@@ -114,8 +114,8 @@ TEST(TimestampExtensionTest, DisabledByDefaultAborts) {
   Runtime rt(cfg);
   std::uint64_t x = 1;
   std::uint64_t y = 2;
-  Semaphore reader_paused;
-  Semaphore writer_done;
+  std::binary_semaphore reader_paused{0};
+  std::binary_semaphore writer_done{0};
 
   std::thread reader([&] {
     bool paused = false;
@@ -123,15 +123,15 @@ TEST(TimestampExtensionTest, DisabledByDefaultAborts) {
       (void)tx.Load(x);
       if (!paused) {
         paused = true;
-        reader_paused.Post();
-        writer_done.Wait();
+        reader_paused.release();
+        writer_done.acquire();
       }
       (void)tx.Load(y);
     });
   });
-  reader_paused.Wait();
+  reader_paused.acquire();
   Atomically(rt.sys(), [&](Tx& tx) { tx.Store(y, std::uint64_t{20}); });
-  writer_done.Post();
+  writer_done.release();
   reader.join();
 
   TxStats s = rt.AggregateStats();
