@@ -167,7 +167,7 @@ struct Orec;
 //                  There the post-commit scan is instead ordered by the
 //                  seq_cst [serial-token] handshake: the serial entrant's
 //                  drain loop reads the registration commit's seq_cst
-//                  committing_ = 0 store, or — when the registrant starts
+//                  commit-flag = 0 store, or — when the registrant starts
 //                  while the writer is already serial — the registrant's
 //                  BeginTx poll reads ExitSerial's token store and its
 //                  double-check runs against the writer's committed state.
@@ -183,11 +183,21 @@ struct Orec;
 //
 //  [serial-token]  (minimal: seq_cst)
 //                  sim-HTM's Dekker pair: each committer's per-thread
-//                  `committing_` flag vs. the serial token/sequence words.
-//                  All four accesses are seq_cst so either the serial entrant
-//                  sees the flag (and drains) or the committer sees the token
-//                  (and aborts) — the classic store-buffering case both
-//                  being acquire/release would not exclude.
+//                  commit flag (its QuiesceTable slot's `committing` word)
+//                  vs. the serial token/sequence words. All four accesses
+//                  are seq_cst so either the serial entrant sees the flag
+//                  (and drains) or the committer sees the token (and
+//                  aborts) — the classic store-buffering case both being
+//                  acquire/release would not exclude.
+//                  The drain stops at the QuiesceTable's registered-tid
+//                  bound, read after the entrant's token store. A thread
+//                  raises the bound at registration, before its first
+//                  flag store, so a committer whose flag the entrant is
+//                  obliged to see has a bound raise the entrant sees too;
+//                  a thread above the bound the entrant read registered
+//                  after it, and its flag store's re-check sees the token.
+//                  The bound's release/acquire accesses ride the anchors
+//                  and add no seq_cst.
 //
 //  [retry-dekker]  (minimal: seq_cst)
 //                  Retry-Orig's store-buffering handshake, fence-anchored:
@@ -219,6 +229,16 @@ struct Orec;
 //                  (and falls back or aborts), or the committer's scan sees
 //                  the published slot (and waits for the reader) — the
 //                  store-buffering exclusion that gates memory reclamation.
+//                  The scan visits only slots below the QuiesceTable's
+//                  registered-tid bound, loaded after the Increment. The
+//                  reader raised the bound at registration, sequenced
+//                  before its first seq_cst SetActive, so a scan obliged to
+//                  see the reader's slot also sees a bound covering it —
+//                  the argument that lets the scan skip null segments
+//                  ([seg-publish]). A scan that reads a lower bound is one
+//                  the reader's clock sample is ordered after (start ≥ end).
+//                  The bound only grows (recycled tids stay below it) and
+//                  its release/acquire accesses add no seq_cst.
 //
 //  [seg-publish]   (minimal: release/acquire)
 //                  Lazy publication of 256-tid segment control blocks
@@ -233,6 +253,13 @@ struct Orec;
 //                  their unpublished block and adopt the winner's; the
 //                  protocol checker's OnSegmentPublished hook asserts each
 //                  index is published at most once per structure.
+//                  QuiesceTable's walks go one step further and stop at the
+//                  registered-tid bound, not at the last published segment:
+//                  the same "sequenced before the owner's first seq_cst
+//                  store" argument covers a tid above the bound (see
+//                  [quiesce-dekker] and [serial-token]); the protocol
+//                  checker's OnQuiesceActive hook asserts no slot is
+//                  published at or above it.
 //
 //  [park-handoff]  (minimal: release/acquire)
 //                  ParkingLot wake-token delivery: a claiming waker posts the

@@ -343,4 +343,15 @@ void ProtocolChecker::OnSegmentPublished(SegmentKind kind, int index) {
   }
 }
 
+// --- quiescence scan bound ---
+
+void ProtocolChecker::OnQuiesceActive(int tid, int bound) {
+  if (tid < 0 || tid >= bound) {
+    Fail("quiesce-bound",
+         "tid %d published its quiesce slot outside the scan bound [0, %d) — "
+         "writer commits would not wait for it",
+         tid, bound);
+  }
+}
+
 }  // namespace tcs

@@ -39,6 +39,10 @@
 //    [seg-publish] CAS admits one winner; a double report means a lost CAS
 //    racer leaked its block into the directory or a directory entry was
 //    overwritten).
+//  * Quiescence scan bound — a thread publishes its quiesce slot only below
+//    the QuiesceTable's registered-tid bound. The commit-path walks stop at
+//    that bound, so a slot above it is one no writer commit waits for: a
+//    missed bound raise would silently break privatization safety.
 //
 // The checker is passive shadow state: it never synchronizes the checked code
 // (its shadow writes ride the happens-before edges the real protocol already
@@ -151,6 +155,11 @@ class ProtocolChecker {
   // Each (kind, index) pair may be published at most once per structure
   // lifetime.
   void OnSegmentPublished(SegmentKind kind, int index);
+
+  // --- quiescence scan bound (src/tm/quiesce.h) ---
+  // Called immediately before QuiesceTable::SetActive publishes `tid`'s slot,
+  // with the table's current bound.
+  void OnQuiesceActive(int tid, int bound);
 
  private:
   struct OrecShadow {

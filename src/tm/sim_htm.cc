@@ -23,10 +23,7 @@ bool SameArgs(const WaitArgs& a, const WaitArgs& b) {
 
 }  // namespace
 
-SimHtm::SimHtm(const TmConfig& config) : TmSystem(config) {
-  committing_ = std::make_unique<CommitFlag[]>(
-      static_cast<std::size_t>(config.max_threads));
-}
+SimHtm::SimHtm(const TmConfig& config) : TmSystem(config) {}
 
 std::uint8_t SimHtm::RegisterPred(WaitPredFn fn, const WaitArgs& args) {
   SpinLockGuard g(pred_table_lock_);
@@ -95,17 +92,11 @@ void SimHtm::EnterSerial(TxDesc& d) {
   // full enter/exit serial section could hide between a transaction's token
   // poll and its seq baseline.
   serial_seq_.fetch_add(1, std::memory_order_seq_cst);
-  // Drain hardware commits that began before the token was visible.
-  for (int t = 0; t < cfg_.max_threads; ++t) {
-    // mo: seq_cst — [serial-token] Dekker: either the committer's flag store
-    // is ordered before our token store (we wait here), or it is after and the
-    // committer's re-check sees the token and aborts.
-    // seq_cst-required: Dekker read leg of the drain; an acquire load could
-    // miss a flag whose store is unordered with our token store.
-    while (committing_[t].v.load(std::memory_order_seq_cst) != 0) {
-      CpuRelax();
-    }
-  }
+  // Drain hardware commits that began before the token was visible. The
+  // drain stops at the registered-tid bound, read after the token store: a
+  // thread registered later raises its flag only after its bound raise, so
+  // its re-check sees the token (see src/tm/quiesce.h).
+  quiesce_.WaitForCommitFlagsClear();
   d.htm_serial = true;
   d.stats.Bump(Counter::kHtmFallbacks);
   TCS_TRACE_EVENT(d, TraceEvent::kHtmFallback, 0);
@@ -263,7 +254,7 @@ bool SimHtm::CommitTx(TxDesc& d) {
   // ordered against EnterSerial's token store and drain loop.
   // seq_cst-required: Dekker write leg — W(flag)/R(token) vs the entrant's
   // W(token)/R(flags); release would let both sides miss each other.
-  committing_[d.tid].v.store(1, std::memory_order_seq_cst);
+  quiesce_.CommitFlag(d.tid).store(1, std::memory_order_seq_cst);
   if (SerialInterference(d)) {
     HwAbort(d, Counter::kHtmConflictAborts, AbortCause::kHtmConflict);
   }
@@ -298,7 +289,7 @@ bool SimHtm::CommitTx(TxDesc& d) {
   // order EnterSerial's drain loop polls it in.
   // seq_cst-required: the drain loop's exit decision quantifies over the
   // single total order of flag accesses.
-  committing_[d.tid].v.store(0, std::memory_order_seq_cst);
+  quiesce_.CommitFlag(d.tid).store(0, std::memory_order_seq_cst);
   quiesce_.SetInactive(d.tid);
   if (cfg_.privatization_safety) {
     // Real HTM commits are atomic and privatization-safe by construction; the
@@ -332,7 +323,7 @@ void SimHtm::Rollback(TxDesc& d) {
   // order EnterSerial's drain loop polls it in.
   // seq_cst-required: the drain loop's exit decision quantifies over the
   // single total order of flag accesses.
-  committing_[d.tid].v.store(0, std::memory_order_seq_cst);
+  quiesce_.CommitFlag(d.tid).store(0, std::memory_order_seq_cst);
   d.locks.clear();
   d.reads.clear();
   d.redo.Clear();
@@ -418,7 +409,7 @@ bool SimHtm::EnterWakeClaimRegion(TxDesc& d) {
   // ordered against EnterSerial's token store and drain loop.
   // seq_cst-required: Dekker write leg — W(flag)/R(token) vs the entrant's
   // W(token)/R(flags); release would let both sides miss each other.
-  committing_[d.tid].v.store(1, std::memory_order_seq_cst);
+  quiesce_.CommitFlag(d.tid).store(1, std::memory_order_seq_cst);
   // mo: seq_cst — [serial-token] Dekker: either our flag store precedes the
   // serial entrant's token store (its drain loop waits on us), or the token
   // store precedes this load (we see it and bail).
@@ -429,7 +420,7 @@ bool SimHtm::EnterWakeClaimRegion(TxDesc& d) {
     // total order EnterSerial's drain loop polls it in.
     // seq_cst-required: the drain loop's exit decision quantifies over the
     // single total order of flag accesses.
-    committing_[d.tid].v.store(0, std::memory_order_seq_cst);
+    quiesce_.CommitFlag(d.tid).store(0, std::memory_order_seq_cst);
     return false;
   }
   return true;
@@ -440,7 +431,7 @@ void SimHtm::ExitWakeClaimRegion(TxDesc& d) {
   // order EnterSerial's drain loop polls it in.
   // seq_cst-required: the drain loop's exit decision quantifies over the
   // single total order of flag accesses.
-  committing_[d.tid].v.store(0, std::memory_order_seq_cst);
+  quiesce_.CommitFlag(d.tid).store(0, std::memory_order_seq_cst);
 }
 
 void SimHtm::SwitchToSoftwareMode(TxDesc& d, bool enable_retry_logging) {

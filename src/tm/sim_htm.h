@@ -27,9 +27,7 @@
 
 #include <array>
 #include <atomic>
-#include <memory>
 
-#include "src/common/cache_line.h"
 #include "src/common/spin_lock.h"
 #include "src/tm/tm_system.h"
 
@@ -68,7 +66,7 @@ class SimHtm final : public TmSystem {
   void MaybeHwPredTableDeschedule(TxDesc& d, WaitPredFn fn,
                                   const WaitArgs& args) override;
   // CAS wake-claim fast path: serial-irrevocable software mode writes with no
-  // orecs, so a non-transactional claimer must join the committing_[] /
+  // orecs, so a non-transactional claimer must join the commit-flag /
   // serial-token Dekker handshake (same shape as CommitTx's hardware commit
   // window). Returns false — caller falls back to the wake transaction — when
   // a serial section is active or pending.
@@ -82,7 +80,7 @@ class SimHtm final : public TmSystem {
   void ExitSerial(TxDesc& d);
   bool SerialInterference(const TxDesc& d) const {
     // mo: seq_cst (both loads) — [serial-token] Dekker: totally ordered against
-    // EnterSerial's token/seq stores and this thread's committing_ flag store,
+    // EnterSerial's token/seq stores and this thread's commit-flag store,
     // so a serial section cannot slip between the flag store and this check.
     // seq_cst-required: Dekker read leg — with acquire loads, this check and
     // the serial entrant's drain loop could both read pre-store values and a
@@ -99,12 +97,6 @@ class SimHtm final : public TmSystem {
   std::atomic<int> serial_owner_{-1};
   std::atomic<std::uint64_t> serial_seq_{0};
   SpinLock serial_entry_lock_;
-
-  // Per-thread "hardware commit in progress" flags; serial entry drains them.
-  struct alignas(kCacheLineBytes) CommitFlag {
-    std::atomic<int> v{0};
-  };
-  std::unique_ptr<CommitFlag[]> committing_;
 
   // Pred-table extension state.
   struct PredEntry {

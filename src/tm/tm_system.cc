@@ -88,6 +88,7 @@ TmSystem::TmSystem(const TmConfig& config)
   // only the domain-owned structures participate in the balance protocols.
   wake_index_->AttachProtocolChecker(proto_.get());
   waiters_->AttachProtocolChecker(proto_.get());
+  quiesce_.AttachProtocolChecker(proto_.get());
 #endif
   std::lock_guard<std::mutex> g(LiveSystemsMutex());
   LiveSystems().emplace(uid_, this);
@@ -126,6 +127,9 @@ TxDesc& TmSystem::RegisterThread() {
   TCS_CHECK_MSG(next_tid_ < cfg_.max_threads, "too many threads for this TM domain");
   int tid = next_tid_++;
   descs_[tid] = std::make_unique<TxDesc>(tid, uid_ * 0x9E3779B9ULL + tid);
+  // Before this thread's first transaction: its quiesce slot and commit flag
+  // must sit below the bound the commit-path walks stop at.
+  quiesce_.Register(tid);
 #if TCS_TRACING
   if (cfg_.tracing) {
     // The registering thread is the ring's single writer; Init here (before
@@ -232,8 +236,10 @@ void TmSystem::Commit() {
   d.stats.Bump(writer ? Counter::kCommits : Counter::kReadOnlyCommits);
   d.mem.OnCommit();
   bool internal = d.internal;
-  std::vector<const Orec*> commit_orecs;
-  std::vector<DeferredCvSignal> signals;
+  // This commit's write-set snapshot and deferred signals move to the
+  // post-commit buffers before the descriptor is reset; see TxDesc.
+  std::vector<const Orec*>& commit_orecs = d.post_commit_orecs;
+  std::vector<DeferredCvSignal>& signals = d.post_commit_signals;
   if (!internal) {
     TCS_TRACE_EVENT(d, TraceEvent::kTxCommit, 0);
     if (cfg_.latency_metrics && d.obs.tx_begin_ns != 0) {

@@ -182,6 +182,7 @@ class TmSystem {
   WaiterRegistry& waiters() { return *waiters_; }
   RetryOrigRegistry& retry_orig() { return *retry_orig_; }
   WakeIndex& wake_index() { return *wake_index_; }
+  QuiesceTable& quiesce() { return quiesce_; }
 
   // The domain's parking lot: every waiter parks on its descriptor's ParkSpot
   // through this lot (futex-backed on Linux; see src/common/parking_lot.h).
@@ -283,7 +284,8 @@ class TmSystem {
   // covering orec outside any transaction. That is sound for the STM backends
   // (all their commits respect orecs), but the simulated HTM's
   // serial-irrevocable software mode writes with NO orecs, protected only by
-  // the Dekker handshake between committing_[] flags and the serial token.
+  // the Dekker handshake between the per-thread commit flags (QuiesceTable
+  // slots) and the serial token.
   // EnterWakeClaimRegion makes the claimer a participant in that handshake
   // (or returns false: fall back to the wake transaction, which already
   // participates via Begin/Commit); ExitWakeClaimRegion leaves it. The

@@ -139,6 +139,13 @@ struct TxDesc {
   // Writer-side snapshot of acquired orecs, taken just before lock release when
   // Retry-Orig waiters exist (Algorithm 1's TxCommit intersection needs it).
   std::vector<const Orec*> commit_orecs;
+  // Commit() swaps commit_orecs and deferred_signals into these before the
+  // descriptor is reset, and runs the signals and the wake pass from them:
+  // the pass's internal transactions may abort, which clears
+  // deferred_signals. Swapping keeps every buffer's capacity, so steady-state
+  // commits allocate neither.
+  std::vector<const Orec*> post_commit_orecs;
+  std::vector<DeferredCvSignal> post_commit_signals;
 
   // --- wakeWaiters scratch (writer side, reused commit to commit) ---
   // The write set's wake-index shard-set bitmap (shard_words() words), built

@@ -4,6 +4,7 @@
 // without) the shared TimerWheel.
 #include <gtest/gtest.h>
 
+#include <malloc.h>
 #include <pthread.h>
 
 #include <algorithm>
@@ -241,6 +242,47 @@ TEST(CapacityTest, SegmentsGrowOnDemand) {
     Atomically(rt.sys(), [&](Tx& tx) { tx.Store(cells[w].v, std::uint64_t{1}); });
   }
   pool.JoinAll();
+}
+
+// The per-thread commit-path table at the default 64Ki ceiling: a directory
+// plus the segments registered tids touched, on every backend — sim-HTM's
+// commit flags live in the same slots, so it allocates no max_threads-long
+// flag slab of its own (that slab cost 4 MiB per domain). The heap delta of
+// building each domain checks the second half directly; sanitizer allocators
+// do not feed mallinfo2, where the delta reads 0 and only the table checks
+// bite.
+TEST(CapacityTest, QuiesceTableFootprintStaysSmallAtDefaultCeiling) {
+  auto heap_bytes = [] {
+    struct mallinfo2 mi = mallinfo2();
+    return static_cast<std::int64_t>(mi.uordblks + mi.hblkhd);
+  };
+  std::int64_t built_bytes[3] = {};
+  const Backend backends[3] = {Backend::kEagerStm, Backend::kLazyStm,
+                               Backend::kSimHtm};
+  for (int b = 0; b < 3; ++b) {
+    TmConfig cfg;
+    cfg.backend = backends[b];
+    ASSERT_EQ(cfg.max_threads, 65536);
+    cfg.timer_wheel = false;  // no ticker thread allocating mid-measurement
+    const std::int64_t before = heap_bytes();
+    {
+      Runtime rt(cfg);
+      built_bytes[b] = heap_bytes() - before;
+      std::uint64_t x = 0;
+      Atomically(rt.sys(), [&](Tx& tx) { tx.Store(x, tx.Load(x) + 1); });
+      const QuiesceTable& q = rt.sys().quiesce();
+      EXPECT_EQ(q.bound(), 1) << BackendName(backends[b]);
+      // 256 directory words plus the one 256-slot segment tid 0 touched.
+      EXPECT_LE(q.FootprintBytes(), 256u * sizeof(void*) + 256u * 64u)
+          << BackendName(backends[b]);
+      EXPECT_GT(q.FootprintBytes(), 256u * sizeof(void*))
+          << BackendName(backends[b]);
+    }
+  }
+  // sim-HTM builds what eager builds plus a small fixed pred table.
+  EXPECT_LT(built_bytes[2] - built_bytes[0], 256 * 1024)
+      << "sim-HTM construction allocated " << built_bytes[2]
+      << " bytes vs eager " << built_bytes[0];
 }
 
 // Registration past the max_threads ceiling must die loudly (TCS_CHECK), not

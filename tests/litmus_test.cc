@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/common/random.h"
 #include "src/condsync/wake_index.h"
 #include "src/core/runtime.h"
 #include "src/core/transaction.h"
@@ -215,6 +216,95 @@ TEST_P(LitmusBackendTest, CommitAfterRegistrationIsNeverLost) {
     ASSERT_FALSE(timed_out.load(std::memory_order_acquire))
         << "lost wakeup on " << BackendName(GetParam()) << " round " << round;
   }
+}
+
+// --------------------------------------------------------------------------
+// [quiesce-dekker] + the registered-tid scan bound: a thread registers and
+// begins its first transaction while a committer's quiescence scan runs. The
+// scan stops at the domain's bound, which the newcomer raises at
+// registration, before its first seq_cst SetActive. Allowed: the scan covers
+// the newcomer and waits for it, or the newcomer's first read sees the
+// committed orec (and value). Forbidden: the newcomer read the pre-commit
+// value and the commit returned while that transaction was still open — the
+// scan skipped a straggler, and privatized memory could be reclaimed under
+// it. Each round uses a fresh domain so the registration really raises the
+// bound (a recycled tid would already sit below it).
+// --------------------------------------------------------------------------
+TEST_P(LitmusBackendTest, RegistrationRacingAScanIsWaitedOnOrSeesTheCommit) {
+  constexpr int kRounds = 300;
+  enum : int { kNotYet = 0, kSawOld = 1, kLeaving = 2 };
+  auto spin_for = [](std::chrono::nanoseconds d) {
+    const auto until = std::chrono::steady_clock::now() + d;
+    while (std::chrono::steady_clock::now() < until) {
+    }
+  };
+  SplitMix64 rng(0x9E3779B97F4A7C15ULL + static_cast<int>(GetParam()));
+  int saw_old = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    TmConfig cfg;
+    cfg.backend = GetParam();
+    cfg.orec_table_log2 = 10;
+    cfg.max_threads = 8;
+    Runtime rt(cfg);
+    struct alignas(64) Cell {
+      std::uint64_t v = 0;
+    };
+    Cell cell;
+    std::atomic<int> newcomer{kNotYet};
+    std::atomic<bool> committer_ready{false};
+    std::atomic<bool> go{false};
+    int at_return = -1;     // read after join only
+    bool read_old = false;  // the newcomer's committed execution; after join
+    const auto commit_delay =
+        std::chrono::nanoseconds(rng.NextBounded(20000));
+    std::thread committer([&] {
+      // Registers (tid 0) before the newcomer exists.
+      Atomically(rt.sys(), [&](Tx& tx) { (void)tx.Load(cell.v); });
+      // mo: release — [harness] publish registration to the test body.
+      committer_ready.store(true, std::memory_order_release);
+      // mo: acquire — [harness] start line shared with the newcomer.
+      while (!go.load(std::memory_order_acquire)) {
+      }
+      spin_for(commit_delay);
+      Atomically(rt.sys(), [&](Tx& tx) { tx.Store(cell.v, std::uint64_t{1}); });
+      // mo: acquire — [harness] where the newcomer's transaction stood when
+      // this commit's quiescence scan let it return.
+      at_return = newcomer.load(std::memory_order_acquire);
+    });
+    // mo: acquire — [harness] observe worker-published state.
+    while (!committer_ready.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+    std::thread fresh([&] {
+      // mo: acquire — [harness] start line shared with the committer.
+      while (!go.load(std::memory_order_acquire)) {
+      }
+      // First use of the domain on this thread: registers, then begins.
+      Atomically(rt.sys(), [&](Tx& tx) {
+        read_old = tx.Load(cell.v) == 0;
+        if (read_old) {
+          // mo: release — [harness] the open transaction read the old value.
+          newcomer.store(kSawOld, std::memory_order_release);
+          spin_for(std::chrono::microseconds(200));
+        }
+        // mo: release — [harness] sequenced before this transaction's commit
+        // (its SetInactive), which a waiting scan acquires.
+        newcomer.store(kLeaving, std::memory_order_release);
+      });
+    });
+    // mo: release — [harness] start both sides.
+    go.store(true, std::memory_order_release);
+    committer.join();
+    fresh.join();
+    ASSERT_NE(at_return, kSawOld)
+        << BackendName(GetParam()) << " round " << round
+        << ": the commit returned while a newly registered thread's older "
+           "transaction was still open — the scan skipped it";
+    saw_old += read_old ? 1 : 0;
+  }
+  // Coverage: how many rounds the newcomer began before the commit, i.e. the
+  // rounds where only the scan stood between it and a reclaimed read.
+  RecordProperty("rounds_newcomer_read_old_value", saw_old);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -16,6 +16,7 @@
 #include "src/core/tvar.h"
 #include "src/tm/orec_table.h"
 #include "src/tm/protocol_checker.h"
+#include "src/tm/quiesce.h"
 
 namespace tcs {
 namespace {
@@ -206,6 +207,40 @@ TEST_F(ProtocolCheckerTest, DoubleClaimBeforePostFires) {
   checker_.OnWakeClaimCommitted(2);
   EXPECT_EQ(rec_.Count("wake-claim"), 1);
 }
+
+// --- quiescence scan bound ---
+
+TEST_F(ProtocolCheckerTest, QuiesceSlotsBelowTheBoundAreSilent) {
+  checker_.OnQuiesceActive(0, 1);
+  checker_.OnQuiesceActive(4, 5);
+  checker_.OnQuiesceActive(0, 5);  // a recycled low tid
+  EXPECT_TRUE(rec_.protocols.empty());
+}
+
+// Seeded violation: a slot published at or above the bound is one no writer
+// commit's scan visits — a missed bound raise.
+TEST_F(ProtocolCheckerTest, QuiesceSlotAtOrAboveTheBoundFires) {
+  checker_.OnQuiesceActive(3, 3);
+  EXPECT_EQ(rec_.Count("quiesce-bound"), 1);
+  checker_.OnQuiesceActive(7, 2);
+  EXPECT_EQ(rec_.Count("quiesce-bound"), 2);
+}
+
+#if TCS_PROTOCOL_CHECKS
+// The same seeded violation through a real table: SetActive on a tid that was
+// never registered reports it.
+TEST_F(ProtocolCheckerTest, UnregisteredSetActiveFiresThroughTheTable) {
+  QuiesceTable q(kMaxThreads);
+  q.AttachProtocolChecker(&checker_);
+  q.Register(0);
+  q.SetActive(0, 1);
+  q.SetInactive(0);
+  EXPECT_TRUE(rec_.protocols.empty());
+  q.SetActive(1, 1);  // tid 1 skipped Register
+  q.SetInactive(1);
+  EXPECT_EQ(rec_.Count("quiesce-bound"), 1);
+}
+#endif
 
 TEST_F(ProtocolCheckerTest, ViolationCounterTracksFailures) {
   checker_.OnWakeDeregister(0);

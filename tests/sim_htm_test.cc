@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <semaphore>
 #include <thread>
 #include <vector>
@@ -202,6 +203,56 @@ TEST(SimHtmTest, OverlappingWriterConflictAbortsDeterministically) {
   t1.join();
   EXPECT_EQ(hot, 11u);  // 10 from the interloper, then +1 on the clean retry
   EXPECT_GE(rt.AggregateStats().Get(Counter::kHtmConflictAborts), 1u);
+}
+
+// Serial entry drains the per-thread commit flags up to the registered-tid
+// bound, so a hardware commit in flight on the most recently registered
+// thread — the bound's last slot — must hold the serial transaction back.
+// The flag is raised through the domain's table, standing in for a thread
+// parked inside CommitTx's commit window.
+TEST(SimHtmTest, SerialEntryWaitsForCommitFlagAtHighestTid) {
+  TmConfig cfg = HtmConfig();
+  cfg.htm_max_attempts = 0;  // every transaction enters serial mode
+  Runtime rt(cfg);
+  std::uint64_t x = 0;
+  std::binary_semaphore serial_registered{0};
+  std::binary_semaphore serial_go{0};
+  std::binary_semaphore flag_raised{0};
+  std::binary_semaphore flag_clear{0};
+  std::atomic<bool> serial_done{false};
+  std::thread serial([&] {
+    Atomically(rt.sys(), [&](Tx& tx) { (void)tx.Load(x); });  // registers first
+    serial_registered.release();
+    serial_go.acquire();
+    Atomically(rt.sys(), [&](Tx& tx) { tx.Store(x, tx.Load(x) + 1); });
+    // mo: release — [harness] publish the serial commit to the test body.
+    serial_done.store(true, std::memory_order_release);
+  });
+  serial_registered.acquire();
+  int flag_tid = -1;
+  std::thread committer([&] {
+    flag_tid = rt.sys().Desc().tid;  // registers last: the highest tid
+    // mo: release — [harness] the semaphore below orders it before the
+    // serial entrant's drain.
+    rt.sys().quiesce().CommitFlag(flag_tid).store(1, std::memory_order_release);
+    flag_raised.release();
+    flag_clear.acquire();
+    // mo: release — [harness] the drain loop observes the clear.
+    rt.sys().quiesce().CommitFlag(flag_tid).store(0, std::memory_order_release);
+  });
+  flag_raised.acquire();
+  EXPECT_EQ(flag_tid + 1, rt.sys().quiesce().bound());
+  serial_go.release();
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  // mo: acquire — [harness] observe whether the serial commit got through.
+  EXPECT_FALSE(serial_done.load(std::memory_order_acquire))
+      << "serial entry did not drain the highest registered tid's flag";
+  flag_clear.release();
+  committer.join();
+  serial.join();
+  // mo: acquire — [harness] ordered by the join as well.
+  EXPECT_TRUE(serial_done.load(std::memory_order_acquire));
+  EXPECT_EQ(x, 1u);
 }
 
 TEST(SimHtmTest, LineGranularityMakesNeighborsConflict) {

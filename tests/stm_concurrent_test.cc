@@ -3,6 +3,8 @@
 // via transactional free. All tests are parameterized over the backends.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -223,6 +225,74 @@ TEST_P(StmConcurrentTest, ReadersSeeConsistentPairs) {
   }
   // mo: acquire — [harness] observe worker-published state.
   EXPECT_EQ(violations.load(std::memory_order_acquire), 0);
+}
+
+// The privatization fence end to end: a writer's Commit() must not return
+// while a transaction another thread began before that commit is still open
+// (TmCondVar ring growth and TxFree reclamation rely on it). The reader
+// registers after the writer, so it holds the highest tid — the last slot the
+// quiescence scan visits. The second round's threads reuse the first round's
+// released tids, which stay below the scan bound.
+TEST_P(StmConcurrentTest, WriterCommitWaitsForOlderOpenTransaction) {
+  struct alignas(64) Cell {
+    std::uint64_t v = 0;
+  };
+  Cell read_cell;
+  Cell write_cell;
+  for (int round = 0; round < 2; ++round) {
+    std::atomic<bool> writer_registered{false};
+    std::atomic<bool> go{false};
+    std::atomic<bool> reader_inside{false};
+    std::atomic<bool> release_reader{false};
+    std::atomic<bool> writer_done{false};
+    std::thread writer([&] {
+      Atomically(rt_.sys(), [&](Tx& tx) { (void)tx.Load(write_cell.v); });
+      // mo: release — [harness] publish registration to the test body.
+      writer_registered.store(true, std::memory_order_release);
+      // mo: acquire — [harness] wait for the reader's open transaction.
+      while (!go.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+      Atomically(rt_.sys(), [&](Tx& tx) {
+        tx.Store(write_cell.v, tx.Load(write_cell.v) + 1);
+      });
+      // mo: release — [harness] publish the commit's return.
+      writer_done.store(true, std::memory_order_release);
+    });
+    // mo: acquire — [harness] observe worker-published state.
+    while (!writer_registered.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+    std::thread reader([&] {
+      Atomically(rt_.sys(), [&](Tx& tx) {
+        (void)tx.Load(read_cell.v);
+        // mo: release — [harness] the transaction is open and has begun.
+        reader_inside.store(true, std::memory_order_release);
+        // mo: acquire — [harness] hold the transaction open until released.
+        while (!release_reader.load(std::memory_order_acquire)) {
+          std::this_thread::yield();
+        }
+      });
+    });
+    // mo: acquire — [harness] observe worker-published state.
+    while (!reader_inside.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+    // mo: release — [harness] let the writer commit.
+    go.store(true, std::memory_order_release);
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    // mo: acquire — [harness] observe worker-published state.
+    EXPECT_FALSE(writer_done.load(std::memory_order_acquire))
+        << "round " << round
+        << ": writer commit returned while an older transaction was open";
+    // mo: release — [harness] end the reader's transaction.
+    release_reader.store(true, std::memory_order_release);
+    reader.join();
+    writer.join();
+    // mo: acquire — [harness] ordered by the join as well.
+    EXPECT_TRUE(writer_done.load(std::memory_order_acquire));
+  }
+  EXPECT_EQ(write_cell.v, 2u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, StmConcurrentTest,

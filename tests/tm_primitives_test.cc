@@ -2,7 +2,10 @@
 // allocation bookkeeping, quiescence, and the small common utilities.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
+#include <functional>
 #include <semaphore>
 #include <thread>
 #include <vector>
@@ -16,6 +19,10 @@
 #include "src/tm/tx_malloc.h"
 #include "src/tm/undo_log.h"
 #include "src/tm/wait_set.h"
+
+// mo-edge: [harness] (minimal: release/acquire) — test harness coordination:
+// flags published by helper threads and observed by the test body (often
+// additionally ordered by thread join or a semaphore).
 
 namespace tcs {
 namespace {
@@ -186,29 +193,132 @@ TEST(TxMallocTest, DescheduleKeepsAllocationsUntilReclaim) {
   EXPECT_EQ(mem.DeferredCount(), 0u);
 }
 
+// Runs `wait` on a helper thread and checks it is still blocked after a
+// grace period, then runs `release` and checks the wait returns. A scan that
+// skipped the slot it should wait for fails the first expectation.
+void ExpectBlocksUntilReleased(const std::function<void()>& wait,
+                               const std::function<void()>& release) {
+  std::atomic<bool> returned{false};
+  std::binary_semaphore started{0};
+  std::thread waiter([&] {
+    started.release();
+    wait();
+    // mo: release — [harness] publish the wait's return to the test body.
+    returned.store(true, std::memory_order_release);
+  });
+  started.acquire();
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  // mo: acquire — [harness] observe whether the waiter got past its wait.
+  EXPECT_FALSE(returned.load(std::memory_order_acquire))
+      << "the walk returned while the slot it must wait for was still set";
+  release();
+  waiter.join();
+  // mo: acquire — [harness] ordered by the join as well.
+  EXPECT_TRUE(returned.load(std::memory_order_acquire));
+}
+
 TEST(QuiesceTest, InactiveThreadsDoNotBlock) {
   QuiesceTable q(4);
+  for (int tid = 0; tid < 4; ++tid) {
+    q.Register(tid);
+  }
   q.WaitForReadersBefore(100, 0);  // nobody active: returns immediately
+  q.WaitForCommitFlagsClear();     // no flag raised: returns immediately
 }
 
 TEST(QuiesceTest, ActiveOldReaderBlocksUntilDone) {
   QuiesceTable q(2);
+  q.Register(0);
+  q.Register(1);
   q.SetActive(1, 5);
-  std::binary_semaphore started{0};
-  std::thread waiter([&] {
-    started.release();
-    q.WaitForReadersBefore(10, 0);
-  });
-  started.acquire();
-  q.SetInactive(1);
-  waiter.join();
+  ExpectBlocksUntilReleased([&] { q.WaitForReadersBefore(10, 0); },
+                            [&] { q.SetInactive(1); });
 }
 
 TEST(QuiesceTest, NewerReaderDoesNotBlock) {
   QuiesceTable q(2);
+  q.Register(0);
+  q.Register(1);
   q.SetActive(1, 50);
   q.WaitForReadersBefore(10, 0);  // 50 >= 10: no wait
   q.SetInactive(1);
+}
+
+TEST(QuiesceTest, BoundTracksTheHighestRegisteredTid) {
+  QuiesceTable q(1024);
+  EXPECT_EQ(q.bound(), 0);
+  q.Register(0);
+  q.Register(3);  // registration may skip ahead; the bound covers the gap
+  EXPECT_EQ(q.bound(), 4);
+  q.Register(1);  // a lower tid never lowers it
+  EXPECT_EQ(q.bound(), 4);
+}
+
+// The scan's last slot is the bound's last tid: an off-by-one there skips
+// exactly the most recently registered thread.
+TEST(QuiesceTest, ReaderAtHighestRegisteredTidBlocks) {
+  QuiesceTable q(16);
+  for (int tid = 0; tid < 6; ++tid) {
+    q.Register(tid);
+  }
+  q.SetActive(5, 5);
+  ExpectBlocksUntilReleased([&] { q.WaitForReadersBefore(10, 0); },
+                            [&] { q.SetInactive(5); });
+}
+
+TEST(QuiesceTest, ReaderInSecondSegmentBlocks) {
+  QuiesceTable q(1024);
+  for (int tid = 0; tid <= 300; ++tid) {
+    q.Register(tid);
+  }
+  q.SetActive(300, 5);  // segment 1; segment 0's slots stay untouched
+  ExpectBlocksUntilReleased([&] { q.WaitForReadersBefore(10, 0); },
+                            [&] { q.SetInactive(300); });
+}
+
+// A recycled tid is handed out again without a new Register: it already sits
+// below the bound, so its next owner's transactions are waited on too.
+TEST(QuiesceTest, RecycledTidBlocks) {
+  QuiesceTable q(16);
+  for (int tid = 0; tid < 3; ++tid) {
+    q.Register(tid);
+  }
+  q.SetActive(2, 1);  // previous owner of tid 2
+  q.SetInactive(2);
+  q.SetActive(2, 5);  // next owner, no re-registration
+  ExpectBlocksUntilReleased([&] { q.WaitForReadersBefore(10, 0); },
+                            [&] { q.SetInactive(2); });
+}
+
+// The contract the bound encodes: a slot above it belongs to no registered
+// thread and is not waited on. (Inside a TM domain every tid registers before
+// its first SetActive; the protocol checker reports a slot published above
+// the bound — see protocol_checker_test.)
+TEST(QuiesceTest, TidAboveBoundIsNotWaitedOn) {
+  QuiesceTable q(16);
+  q.Register(0);
+  q.Register(1);
+  q.SetActive(2, 5);
+  q.WaitForReadersBefore(10, 0);  // returns at once: tid 2 is past the bound
+  // mo: relaxed — [harness] single-threaded: nothing else reads the flag.
+  q.CommitFlag(3).store(1, std::memory_order_relaxed);
+  q.WaitForCommitFlagsClear();
+  q.SetInactive(2);
+}
+
+TEST(QuiesceTest, CommitFlagDrainWaitsAtHighestTidAndSecondSegment) {
+  QuiesceTable q(1024);
+  for (int tid = 0; tid <= 300; ++tid) {
+    q.Register(tid);
+  }
+  for (int tid : {300, 255, 0}) {
+    // mo: release — [harness] raise the flag before the drain thread starts.
+    q.CommitFlag(tid).store(1, std::memory_order_release);
+    ExpectBlocksUntilReleased(
+        [&] { q.WaitForCommitFlagsClear(); },
+        // mo: release — [harness] the drain's load observes the clear.
+        [&] { q.CommitFlag(tid).store(0, std::memory_order_release); });
+  }
 }
 
 TEST(SpinLockTest, MutualExclusionUnderContention) {
