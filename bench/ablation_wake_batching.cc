@@ -15,19 +15,14 @@
 // deadline, the binary prints the failure and exits nonzero (the bench-smoke
 // job fails).
 //
-// Two further sweeps ride along:
-//  * CAS fast-path acceptance — 1–4 disjoint waiters on the targeted wake
-//    path, fast path off vs on. The fast path must STRICTLY reduce wake
-//    transactions per commit, and the common case must claim with zero wake
-//    transactions; a violation exits nonzero.
-//  * Adaptive batch sizing — wake_batch_size becomes a cap and the effective
-//    size follows the wake-tx abort-rate EWMA; the adaptive row must land
-//    within tolerance of the best fixed size at every waiter count.
+// A CAS fast-path acceptance sweep rides along: 1–4 disjoint waiters on the
+// targeted wake path, fast path off vs on. The fast path must STRICTLY reduce
+// wake transactions per commit, and the common case must claim with zero wake
+// transactions; a violation exits nonzero.
 //
 // Flags: --commits=N --waiters=a,b,... (default 256; the paper-scale sweep is
 //        256,1024) --batches=a,b,... (default 1,4,8,16) --backend=0|1|2
-//        --verify_waiters=N --cas=0|1 (fixed-sweep fast path, default 0)
-//        --adaptive=0|1 (fixed-sweep adaptive sizing, default 0)
+//        --verify_waiters=N --cas=0|1 (batch-sweep fast path, default 0)
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -86,15 +81,13 @@ struct PaddedCell {
 // requires every waiter to wake within `deadline`. Returns false (after
 // printing the failure) on a lost wakeup.
 bool VerifyNoLostWakeups(tcs::Backend backend, int batch, bool cas,
-                         bool adaptive, int waiters,
-                         std::chrono::seconds deadline) {
+                         int waiters, std::chrono::seconds deadline) {
   using namespace tcs;
   TmConfig cfg;
   cfg.backend = backend;
   cfg.max_threads = waiters + 8;
   cfg.wake_batch_size = batch;
   cfg.cas_claim_fast_path = cas;
-  cfg.adaptive_wake_batch = adaptive;
   Runtime rt(cfg);
   auto cells = std::make_unique<PaddedCell[]>(static_cast<std::size_t>(waiters));
   std::atomic<int> woken{0};
@@ -158,7 +151,6 @@ int main(int argc, char** argv) {
   int verify_waiters =
       static_cast<int>(flags.GetU64("verify_waiters", 64));
   const bool sweep_cas = flags.GetU64("cas", 0) != 0;
-  const bool sweep_adaptive = flags.GetU64("adaptive", 0) != 0;
 
   PrintHeader("Ablation: batched wake transactions vs per-candidate wake path",
               "N disjoint waiters, 1 hot producer, global-scan wake path; "
@@ -173,7 +165,6 @@ int main(int argc, char** argv) {
   bool ok = true;
   for (int n : waiter_counts) {
     double base_cps = 0.0;
-    double best_fixed_cps = 0.0;
     for (int batch : batch_sizes) {
       WakeTrialOptions opts;
       opts.backend = backend;
@@ -182,59 +173,16 @@ int main(int argc, char** argv) {
       opts.producer_commits = commits;
       opts.wake_batch_size = batch;
       opts.cas_claim_fast_path = sweep_cas;
-      opts.adaptive_wake_batch = sweep_adaptive;
       WakeTrialResult r = RunWakeIndexTrial(opts);
       if (batch == batch_sizes.front()) {
         base_cps = r.commits_per_sec;
-      }
-      if (r.commits_per_sec > best_fixed_cps) {
-        best_fixed_cps = r.commits_per_sec;
       }
       double speedup = base_cps > 0 ? r.commits_per_sec / base_cps : 0.0;
       std::printf("%-8d %-7d %14llu %18.2f %18.2f %18.0f %9.2fx\n", n, batch,
                   static_cast<unsigned long long>(r.wake_batches),
                   r.wake_batches_per_commit, r.wake_checks_per_commit,
                   r.commits_per_sec, speedup);
-      ok = ok && VerifyNoLostWakeups(backend, batch, sweep_cas, sweep_adaptive,
-                                     verify_waiters, std::chrono::seconds(60));
-    }
-
-    // Adaptive sizing against the best fixed batch at this waiter count. The
-    // bar is "matches or beats" with a noise allowance — a real regression
-    // (adaptive collapsing to tiny batches without abort pressure) lands far
-    // below it.
-    {
-      WakeTrialOptions opts;
-      opts.backend = backend;
-      opts.targeted = false;
-      opts.waiters = n;
-      opts.producer_commits = commits;
-      opts.wake_batch_size = batch_sizes.back();
-      opts.cas_claim_fast_path = sweep_cas;
-      opts.adaptive_wake_batch = true;
-      WakeTrialResult r = RunWakeIndexTrial(opts);
-      double vs_best =
-          best_fixed_cps > 0 ? r.commits_per_sec / best_fixed_cps : 0.0;
-      std::printf("%-8d %-7s %14llu %18.2f %18.2f %18.0f %9.2fx\n", n, "ada",
-                  static_cast<unsigned long long>(r.wake_batches),
-                  r.wake_batches_per_commit, r.wake_checks_per_commit,
-                  r.commits_per_sec, vs_best);
-      // Adaptive typically lands at 0.95–1.05x of the best fixed size; the
-      // hard gate only trips on a structural collapse (e.g. shrinking to
-      // tiny batches with no abort pressure), because short CI runs see
-      // ±30% machine noise between identical sweep points.
-      if (vs_best < 0.5) {
-        std::fprintf(stderr,
-                     "ADAPTIVE REGRESSION: waiters=%d adaptive=%.0f/s is "
-                     "%.2fx of best fixed %.0f/s\n",
-                     n, r.commits_per_sec, vs_best, best_fixed_cps);
-        ok = false;
-      } else if (vs_best < 0.9) {
-        std::printf("# warning: adaptive at %.2fx of best fixed (noise?)\n",
-                    vs_best);
-      }
-      ok = ok && VerifyNoLostWakeups(backend, batch_sizes.back(), sweep_cas,
-                                     /*adaptive=*/true, verify_waiters,
+      ok = ok && VerifyNoLostWakeups(backend, batch, sweep_cas, verify_waiters,
                                      std::chrono::seconds(60));
     }
   }
@@ -284,8 +232,7 @@ int main(int argc, char** argv) {
       ok = false;
     }
     ok = ok && VerifyNoLostWakeups(backend, batch_sizes.back(), /*cas=*/true,
-                                   /*adaptive=*/true, verify_waiters,
-                                   std::chrono::seconds(60));
+                                   verify_waiters, std::chrono::seconds(60));
   }
 
   if (!ok) {

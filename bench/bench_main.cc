@@ -10,7 +10,6 @@
 //                        (default all)
 //   --ops=N --trials=N --scale=N --max_threads=N --commits=N --many_commits=N
 //   --scale_waiters=N    waiter_scale point size (default 1e5, --quick 1e4)
-#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -48,7 +47,6 @@ void EmitWakeTrialRow(JsonWriter& w, const WakeTrialResult& r) {
   w.Key("producer_commits").U64(r.producer_commits);
   w.Key("wake_batch_size").Int(r.wake_batch_size);
   w.Key("cas_claim_fast_path").Bool(r.cas_claim_fast_path);
-  w.Key("adaptive_wake_batch").Bool(r.adaptive_wake_batch);
   w.Key("seconds").Double(r.seconds);
   w.Key("commits_per_sec").Double(r.commits_per_sec);
   w.Key("wake_checks").U64(r.wake_checks);
@@ -196,7 +194,6 @@ void EmitWakeBatchSweep(JsonWriter& w, const std::vector<Backend>& backends,
         continue;
       }
       double base_cps = 0.0;
-      double best_fixed_cps = 0.0;
       for (int batch : {1, 4, 8, 16}) {
         WakeTrialOptions opts;
         opts.backend = b;
@@ -204,16 +201,13 @@ void EmitWakeBatchSweep(JsonWriter& w, const std::vector<Backend>& backends,
         opts.waiters = n;
         opts.producer_commits = commits;
         opts.wake_batch_size = batch;
-        // Fixed-batch rows isolate the batching variable: no fast-path
-        // claims, no adaptive resizing.
+        // The rows isolate the batching variable: no fast-path claims.
         opts.cas_claim_fast_path = false;
-        opts.adaptive_wake_batch = false;
         WakeTrialResult r = RunWakeIndexTrial(opts);
         EmitWakeTrialRow(w, r);
         if (batch == 1) {
           base_cps = r.commits_per_sec;
         }
-        best_fixed_cps = std::max(best_fixed_cps, r.commits_per_sec);
         double speedup =
             base_cps > 0 ? r.commits_per_sec / base_cps : 0.0;
         std::printf("wake_batch  backend=%-10s waiters=%-5d batch=%-3d "
@@ -222,26 +216,6 @@ void EmitWakeBatchSweep(JsonWriter& w, const std::vector<Backend>& backends,
                     BackendName(b), n, batch, r.wake_batches_per_commit,
                     r.wake_checks_per_commit, r.commits_per_sec, speedup);
       }
-      // Adaptive row: same shape, batch capped at the sweep maximum, the
-      // effective size steered by the wake-tx abort-rate EWMA. Compared
-      // against the best fixed size from the rows above.
-      WakeTrialOptions opts;
-      opts.backend = b;
-      opts.targeted = false;
-      opts.waiters = n;
-      opts.producer_commits = commits;
-      opts.wake_batch_size = 16;
-      opts.cas_claim_fast_path = false;
-      opts.adaptive_wake_batch = true;
-      WakeTrialResult r = RunWakeIndexTrial(opts);
-      EmitWakeTrialRow(w, r);
-      double vs_best =
-          best_fixed_cps > 0 ? r.commits_per_sec / best_fixed_cps : 0.0;
-      std::printf("wake_batch  backend=%-10s waiters=%-5d batch=ada "
-                  "batches/commit=%.2f checks/commit=%.2f commits/s=%.0f "
-                  "vs_best_fixed=%.2fx\n",
-                  BackendName(b), n, r.wake_batches_per_commit,
-                  r.wake_checks_per_commit, r.commits_per_sec, vs_best);
     }
   }
   w.EndArray();
@@ -284,9 +258,7 @@ void EmitWaiterScaleRow(JsonWriter& w, const WaiterScaleResult& r) {
   w.Key("requested_waiters").Int(r.requested_waiters);
   w.Key("waiters").Int(r.waiters);
   w.Key("spawned").Int(r.spawned);
-  w.Key("park_backend").Int(r.park_backend);
   w.Key("uses_futex").Bool(r.uses_futex);
-  w.Key("timer_wheel").Bool(r.timer_wheel);
   w.Key("park_seconds").Double(r.park_seconds);
   w.Key("wake_seconds").Double(r.wake_seconds);
   w.Key("wake_rounds").U64(r.wake_rounds);
@@ -309,7 +281,7 @@ void EmitWaiterScaleRow(JsonWriter& w, const WaiterScaleResult& r) {
   w.EndObject();
 }
 
-void PrintWaiterScaleRow(const char* variant, const WaiterScaleResult& r) {
+void PrintWaiterScaleRow(const WaiterScaleResult& r) {
   if (r.waiters < r.requested_waiters) {
     std::printf(
         "waiter_scale: requested %d waiters clamped to %d by the machine's "
@@ -317,23 +289,20 @@ void PrintWaiterScaleRow(const char* variant, const WaiterScaleResult& r) {
         r.requested_waiters, r.waiters);
   }
   std::printf(
-      "waiter_scale backend=%-10s variant=%-9s waiters=%-7d spawned=%-7d "
-      "lost=%llu mem/waiter=%.0fB wake_p99=%lluns timed=%llu ticks=%llu\n",
-      BackendName(r.backend), variant, r.waiters, r.spawned,
+      "waiter_scale backend=%-10s waiters=%-7d spawned=%-7d lost=%llu "
+      "mem/waiter=%.0fB wake_p99=%lluns timed=%llu ticks=%llu\n",
+      BackendName(r.backend), r.waiters, r.spawned,
       static_cast<unsigned long long>(r.lost_wakeups), r.mem_bytes_per_waiter,
       static_cast<unsigned long long>(r.wake_p99_ns),
       static_cast<unsigned long long>(r.timed_waits),
       static_cast<unsigned long long>(r.wheel_ticks));
 }
 
-// Capacity-tier sweep: one 10^4/10^5-waiter point per backend (pooled parking
-// + timer wheel at defaults), plus two eager-backend variant rows — the
-// portable mutex+condvar parking pool, and the wheel off (per-wait kernel
-// timeouts) — so the defaults' wins are visible in the same artifact. The CI
-// gate (bench-smoke) asserts lost_wakeups == 0, bounded mem_bytes_per_waiter,
-// and wheel_ticks < timed_waits over these rows.
+// Capacity-tier sweep: one 10^4/10^5-waiter point per backend. The CI gate
+// (bench-smoke) asserts lost_wakeups == 0, bounded mem_bytes_per_waiter, and
+// wheel_ticks < timed_waits over these rows.
 void EmitWaiterScale(JsonWriter& w, const std::vector<Backend>& backends,
-                     int waiters, int variant_waiters) {
+                     int waiters) {
   w.Key("waiter_scale_sweep").BeginArray();
   for (Backend b : backends) {
     WaiterScaleOptions opts;
@@ -341,31 +310,7 @@ void EmitWaiterScale(JsonWriter& w, const std::vector<Backend>& backends,
     opts.waiters = waiters;
     WaiterScaleResult r = RunWaiterScaleTrial(opts);
     EmitWaiterScaleRow(w, r);
-    PrintWaiterScaleRow("default", r);
-  }
-  {
-    WaiterScaleOptions opts;
-    opts.backend = Backend::kEagerStm;
-    opts.waiters = variant_waiters;
-    opts.park_backend = 2;  // mutex+condvar pool (portable fallback)
-    WaiterScaleResult r = RunWaiterScaleTrial(opts);
-    EmitWaiterScaleRow(w, r);
-    PrintWaiterScaleRow("pool", r);
-  }
-  {
-    WaiterScaleOptions opts;
-    opts.backend = Backend::kEagerStm;
-    // Smaller than the other variants: without the wheel, timed-wait expiries
-    // land scattered instead of batched at tick boundaries, so the churners'
-    // commits (and their quiescence) never leave a quiet window for the rest
-    // of the park phase — at 10^4 waiters the row alone costs minutes. The
-    // contrast the row exists for (per-wait timeouts vs one wheel) is just as
-    // visible at this size.
-    opts.waiters = std::min(variant_waiters, 2500);
-    opts.timer_wheel = false;  // per-wait kernel timeouts (pre-capacity tier)
-    WaiterScaleResult r = RunWaiterScaleTrial(opts);
-    EmitWaiterScaleRow(w, r);
-    PrintWaiterScaleRow("no_wheel", r);
+    PrintWaiterScaleRow(r);
   }
   w.EndArray();
 }
@@ -471,12 +416,10 @@ int Run(int argc, char** argv) {
   }
   if (scenario == "all" || scenario == "waiter_scale") {
     // 10^5 parked waiters per full-run point; CI (--quick) runs the 10^4
-    // point. Variant rows (pool parking, wheel off) stay at the CI size even
-    // in full runs — they exist for comparison, not for the capacity record.
+    // point.
     const int scale_waiters = static_cast<int>(
         flags.GetU64("scale_waiters", quick ? 10000 : 100000));
-    const int variant_waiters = std::min(scale_waiters, 10000);
-    EmitWaiterScale(w, backends, scale_waiters, variant_waiters);
+    EmitWaiterScale(w, backends, scale_waiters);
   }
   if (scenario == "all" || scenario == "bounded") {
     EmitBounded(w, backends, bounded);

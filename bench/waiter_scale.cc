@@ -217,8 +217,6 @@ WaiterScaleResult RunWaiterScaleTrial(const WaiterScaleOptions& opts) {
   TmConfig cfg;
   cfg.backend = opts.backend;
   cfg.max_threads = target + 64;
-  cfg.park_backend = opts.park_backend;
-  cfg.timer_wheel = opts.timer_wheel;
   Runtime rt(cfg);
 
   auto cells =
@@ -332,9 +330,7 @@ WaiterScaleResult RunWaiterScaleTrial(const WaiterScaleOptions& opts) {
   r.requested_waiters = opts.waiters;
   r.waiters = target;
   r.spawned = spawned;
-  r.park_backend = opts.park_backend;
   r.uses_futex = rt.sys().parking().UsesFutex();
-  r.timer_wheel = opts.timer_wheel;
   r.park_seconds = t_parked - t_spawn;
   r.wake_seconds = t_wake1 - t_wake0;
   r.wake_rounds = rounds;

@@ -35,9 +35,6 @@ struct WaiterScaleOptions {
   // ones, timing out and re-arming continuously. 0 disables timed churn.
   int timed_every = 8;
   std::uint64_t timed_timeout_ms = 5;
-  // TmConfig::park_backend (0 auto / 1 futex / 2 pool) and timer_wheel.
-  int park_backend = 0;
-  bool timer_wheel = true;
 };
 
 struct WaiterScaleResult {
@@ -45,9 +42,7 @@ struct WaiterScaleResult {
   int requested_waiters = 0;  // WaiterScaleOptions::waiters as asked for
   int waiters = 0;   // target after the pid_max spawn-ceiling clamp
   int spawned = 0;   // actually running (thread creation may hit EAGAIN)
-  int park_backend = 0;
   bool uses_futex = false;
-  bool timer_wheel = false;
   double park_seconds = 0.0;  // spawn start → all spawned waiters registered
   double wake_seconds = 0.0;  // verify-phase wall time
   // Verify phase: wake_rounds distinct-cell wake commits, acks counted by the

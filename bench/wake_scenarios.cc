@@ -42,7 +42,6 @@ WakeTrialResult RunWakeIndexTrial(const WakeTrialOptions& opts) {
     cfg.wake_batch_size = opts.wake_batch_size;
   }
   cfg.cas_claim_fast_path = opts.cas_claim_fast_path;
-  cfg.adaptive_wake_batch = opts.adaptive_wake_batch;
   Runtime rt(cfg);
 
   const int waiters = opts.waiters;
@@ -121,7 +120,6 @@ WakeTrialResult RunWakeIndexTrial(const WakeTrialOptions& opts) {
       r.seconds > 0 ? static_cast<double>(opts.producer_commits) / r.seconds
                     : 0.0;
   r.cas_claim_fast_path = rt.config().cas_claim_fast_path;
-  r.adaptive_wake_batch = rt.config().adaptive_wake_batch;
   r.wake_checks = st.Get(Counter::kWakeChecks);
   r.wake_batches = st.Get(Counter::kWakeBatches);
   r.cas_claims = st.Get(Counter::kCasWakeClaims);

@@ -50,9 +50,6 @@ struct WakeTrialOptions {
   // Lock-free CAS wake-claim fast path (TmConfig::cas_claim_fast_path).
   // Disabling it reverts to the all-transactional claim baseline.
   bool cas_claim_fast_path = true;
-  // Abort-rate-driven effective batch sizing (TmConfig::adaptive_wake_batch);
-  // wake_batch_size becomes the cap. Disabling pins the batch at the cap.
-  bool adaptive_wake_batch = true;
 };
 
 struct WakeTrialResult {
@@ -67,7 +64,6 @@ struct WakeTrialResult {
   double seconds = 0.0;            // hot-producer phase wall time
   double commits_per_sec = 0.0;    // wake-path throughput
   bool cas_claim_fast_path = false;  // as configured
-  bool adaptive_wake_batch = false;  // as configured
   std::uint64_t wake_checks = 0;   // predicate evaluations writers paid
   std::uint64_t wake_batches = 0;  // internal wake transactions writers paid
   std::uint64_t cas_claims = 0;    // waiters claimed without any wake tx

@@ -24,7 +24,7 @@
 //    bit-rotted conditions fail the build in every configuration.
 //
 // Hot-path files tagged `lint:hot-path` additionally ban TCS_DCHECK inside
-// loops (tools/lint_tm_discipline.py): a Debug-only check in a per-access loop
+// loops (tools/tm_analyze.py): a Debug-only check in a per-access loop
 // distorts Debug timing enough to mask interleavings, which is when DCHECK
 // coverage is most needed.
 #ifndef TCS_COMMON_ASSERT_H_

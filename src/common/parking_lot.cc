@@ -1,5 +1,6 @@
 #include "src/common/parking_lot.h"
 
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <thread>
@@ -10,20 +11,13 @@
 #if defined(__linux__)
 #include <linux/futex.h>
 #include <sys/syscall.h>
-#include <sys/time.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <climits>
-#include <ctime>
 #endif
 
 namespace tcs {
 namespace {
-
-// Bucket count for the pool backend: prime, so spot addresses (which share
-// low-bit alignment structure) spread evenly.
-constexpr std::size_t kNumBuckets = 251;
 
 std::uint64_t NsSince(std::chrono::steady_clock::time_point t) {
   return static_cast<std::uint64_t>(
@@ -81,7 +75,7 @@ ParkingLot::ParkingLot(Backend backend) {
   (void)backend;
 #endif
   if (!use_futex_) {
-    buckets_ = std::make_unique<Bucket[]>(kNumBuckets);
+    buckets_ = std::make_unique<Bucket[]>(kPoolBuckets);
   }
 }
 
@@ -96,7 +90,7 @@ ParkingLot::Bucket& ParkingLot::BucketOf(const ParkSpot& spot) {
   auto a = reinterpret_cast<std::uintptr_t>(&spot);
   // Spots are at least 16-byte objects; drop the dead low bits before the
   // prime modulus so neighbouring spots land in different buckets.
-  return buckets_[(a >> 4) % kNumBuckets];
+  return buckets_[(a >> 4) % kPoolBuckets];
 }
 
 bool ParkingLot::AdvertiseSleeper(ParkSpot& spot, std::uint32_t& observed) {
@@ -145,43 +139,6 @@ void ParkingLot::WaitOn(ParkSpot& spot, std::uint32_t wanted,
   });
 }
 
-void ParkingLot::WaitOnUntil(ParkSpot& spot, std::uint32_t wanted,
-                             std::uint32_t observed,
-                             std::chrono::steady_clock::time_point deadline) {
-  if (!AdvertiseSleeper(spot, observed)) {
-    return;
-  }
-#if defined(__linux__)
-  if (use_futex_) {
-    // FUTEX_WAIT_BITSET takes an *absolute* timespec; with
-    // FUTEX_CLOCK_REALTIME unset it is read against CLOCK_MONOTONIC, which
-    // is what libstdc++'s steady_clock is on Linux.
-    auto ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            deadline.time_since_epoch())
-            .count();
-    if (ns < 0) {
-      ns = 0;
-    }
-    struct timespec ts;
-    ts.tv_sec = static_cast<time_t>(ns / 1000000000);
-    ts.tv_nsec = static_cast<long>(ns % 1000000000);
-    syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(&spot.state),
-            FUTEX_WAIT_BITSET_PRIVATE, observed, &ts, nullptr,
-            FUTEX_BITSET_MATCH_ANY);
-    return;
-  }
-#endif
-  Bucket& b = BucketOf(spot);
-  std::unique_lock<std::mutex> lk(b.m);
-  b.cv.wait_until(lk, deadline, [&] {
-    // mo: acquire — [park-handoff] wait-predicate re-read under the bucket
-    // mutex (see WaitOn); the consuming RMW in ParkUntil is the edge's
-    // acquire endpoint.
-    return (spot.state.load(std::memory_order_acquire) & wanted) != 0u;
-  });
-}
-
 void ParkingLot::WakeAll(ParkSpot& spot) {
 #if defined(__linux__)
   if (use_futex_) {
@@ -202,7 +159,7 @@ void ParkingLot::WakeAll(ParkSpot& spot) {
 void ParkingLot::Post(ParkSpot& spot) {
   // mo: release — [park-handoff] release endpoint: publishes the wake token
   // after the claim commit and wake-post stamp; the owner's token-consuming
-  // acquire RMW (ConsumeToken/ParkEither/ParkUntil) pairs with this, making
+  // acquire RMW (ConsumeToken/ParkEither) pairs with this, making
   // the committed claim visible to the woken waiter. The value it returns
   // says whether the owner had blocked (see AdvertiseSleeper).
   std::uint32_t prev = spot.state.fetch_or(kWakeToken, std::memory_order_release);
@@ -307,35 +264,6 @@ bool ParkingLot::ParkEither(ParkSpot& spot) {
     }
     clock.OnBlock();
     WaitOn(spot, kWakeToken | kTimeoutToken, s);
-  }
-}
-
-bool ParkingLot::ParkUntil(ParkSpot& spot,
-                           std::chrono::steady_clock::time_point deadline) {
-  BlockClock clock;
-  for (;;) {
-    // mo: acquire — [park-handoff] peek before deciding to consume or sleep;
-    // the consuming RMW below is the edge's real acquire endpoint.
-    std::uint32_t s = spot.state.load(std::memory_order_acquire);
-    if ((s & kWakeToken) != 0u) {
-      // mo: acquire — [park-handoff] acquire endpoint (see ConsumeToken).
-      spot.state.fetch_and(~(kWakeToken | kTimeoutToken | kSleeper),
-                           std::memory_order_acquire);
-      clock.OnDone(spot);
-      return true;
-    }
-    if (std::chrono::steady_clock::now() >= deadline) {
-      // At the deadline, still grab a token that raced in, so the caller's
-      // timeout/wakeup drain behaves identically on both timed paths.
-      // mo: acquire — [park-handoff] acquire endpoint for the raced-in
-      // token; pairs with Post's release fetch_or.
-      std::uint32_t prev = spot.state.fetch_and(
-          ~(kWakeToken | kTimeoutToken | kSleeper), std::memory_order_acquire);
-      clock.OnDone(spot);
-      return (prev & kWakeToken) != 0u;
-    }
-    clock.OnBlock();
-    WaitOnUntil(spot, kWakeToken, s, deadline);
   }
 }
 

@@ -55,7 +55,7 @@
 #define TCS_COMMON_PARKING_LOT_H_
 
 #include <atomic>
-#include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 
@@ -89,8 +89,14 @@ class ParkingLot {
   static constexpr std::uint64_t kSpinNs = 20'000;
   static constexpr std::uint64_t kSpinGateNs = 50'000;
 
-  // Backend selection (TmConfig::park_backend uses the same numbering):
-  // kAuto picks futex where available (Linux), else the mutex+condvar pool.
+  // Pool backend bucket count: prime, so spot addresses (which share
+  // low-bit alignment structure) spread evenly. Spots hashing to one bucket
+  // share its condvar, and a post there wakes every sharer.
+  static constexpr std::size_t kPoolBuckets = 251;
+
+  // kAuto, the choice every TmSystem makes, picks futex on Linux and the
+  // mutex+condvar pool elsewhere. Naming a backend is for tests, which run
+  // the pool on Linux too.
   enum class Backend : int { kAuto = 0, kFutex = 1, kPool = 2 };
 
   explicit ParkingLot(Backend backend = Backend::kAuto);
@@ -131,17 +137,11 @@ class ParkingLot {
   // belonged to is over). Returns true when the wait ended without blocking.
   bool ConsumeToken(ParkSpot& spot);
 
-  // Timed waits. Their caller spins (Spin) before arming the timeout, so
-  // that a wait the spin satisfies never touches the wheel; these two block
-  // straight away. ParkEither blocks until either token is present: true =
-  // wake token consumed, false = timeout token consumed. ParkUntil is the
-  // wheel-less variant (TmConfig::timer_wheel = false ablation): it blocks
-  // until the wake token or `deadline`, and at the deadline a token that
-  // already raced in is still consumed (returns true), so the caller's
-  // timeout/wakeup drain sees the same outcomes on both timed paths.
+  // Timed wait. Its caller spins (Spin) before arming the timeout, so that a
+  // wait the spin satisfies never touches the wheel; ParkEither blocks
+  // straight away, until either token is present: true = wake token
+  // consumed, false = timeout token consumed.
   bool ParkEither(ParkSpot& spot);
-  bool ParkUntil(ParkSpot& spot,
-                 std::chrono::steady_clock::time_point deadline);
 
   // Arms a timed wait: bumps the epoch (invalidating every wheel entry
   // scheduled for earlier waits on this spot) and clears any stale timeout
@@ -162,9 +162,6 @@ class ParkingLot {
   // none of the wanted bits set; the sleeper bit is advertised first, and a
   // state change under that CAS returns at once for the caller to re-check.
   void WaitOn(ParkSpot& spot, std::uint32_t wanted, std::uint32_t observed);
-  // Timed variant; returns once a wanted bit is set or the deadline passed.
-  void WaitOnUntil(ParkSpot& spot, std::uint32_t wanted, std::uint32_t observed,
-                   std::chrono::steady_clock::time_point deadline);
   // Sets kSleeper in `observed` and the state word; false when the state
   // moved first (`observed` then holds the new value).
   static bool AdvertiseSleeper(ParkSpot& spot, std::uint32_t& observed);

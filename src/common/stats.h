@@ -61,8 +61,7 @@ enum class Counter : int {
                        // transaction (orec contention, mid-registration slot,
                        // serial-mode writer, inconsistent predicate snapshot)
   kWakeTxAborts,       // wake-transaction attempts that aborted and re-ran
-                       // (batch lambda executions minus committed batches);
-                       // feeds the adaptive-batch EWMA
+                       // (batch lambda executions minus committed batches)
   kCondVarBatches,     // internal pop transactions committed by TMCondVar
                        // signal/broadcast delivery (each pops up to
                        // wake_batch_size tids)

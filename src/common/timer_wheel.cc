@@ -4,10 +4,8 @@
 
 namespace tcs {
 
-TimerWheel::TimerWheel(ParkingLot* lot, std::uint64_t tick_ns)
-    : lot_(lot),
-      tick_ns_(tick_ns == 0 ? 1 : tick_ns),
-      origin_(std::chrono::steady_clock::now()) {}
+TimerWheel::TimerWheel(ParkingLot* lot)
+    : lot_(lot), origin_(std::chrono::steady_clock::now()) {}
 
 TimerWheel::~TimerWheel() {
   {
@@ -28,7 +26,7 @@ std::uint64_t TimerWheel::TickOf(
   auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(tp - origin_)
                 .count();
   // Round UP: the wheel fires late (bounded), never early.
-  return (static_cast<std::uint64_t>(ns) + tick_ns_ - 1) / tick_ns_;
+  return (static_cast<std::uint64_t>(ns) + kTickNs - 1) / kTickNs;
 }
 
 void TimerWheel::Place(Entry e) {
@@ -60,7 +58,7 @@ void TimerWheel::FireSlot(std::vector<Entry>& slot) {
       stats_.fired++;
       auto now = std::chrono::steady_clock::now();
       auto deadline =
-          origin_ + std::chrono::nanoseconds(e.deadline_tick * tick_ns_);
+          origin_ + std::chrono::nanoseconds(e.deadline_tick * kTickNs);
       if (now > deadline) {
         auto lag = std::chrono::duration_cast<std::chrono::nanoseconds>(
                        now - deadline)
@@ -152,7 +150,7 @@ void TimerWheel::TickerMain() {
       continue;
     }
     auto next = origin_ + std::chrono::nanoseconds((current_tick_ + 1) *
-                                                   tick_ns_);
+                                                   kTickNs);
     if (std::chrono::steady_clock::now() < next) {
       cv_.wait_until(lk, next);
       continue;

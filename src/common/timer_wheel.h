@@ -11,11 +11,11 @@
 // ParkingLot::PostTimeout, the [wheel-tick] edge — to every entry whose slot
 // comes due.
 //
-// Layout: level 0 is 256 ticks of `tick_ns` each; levels 1 and 2 are 64
+// Layout: level 0 is 256 ticks of kTickNs (1 ms) each; levels 1 and 2 are 64
 // slots covering 256 and 256*64 ticks per slot; anything further out sits in
 // an overflow list rescanned once per full level-2 revolution. Entries
 // cascade down a level when their coarse slot expires. Deadlines round UP to
-// a tick boundary — the wheel may fire late (bounded by tick_ns plus ticker
+// a tick boundary — the wheel may fire late (bounded by one tick plus ticker
 // scheduling lag, reported as max_lag_ns) but never early, so a fired waiter
 // observing `now < deadline` can only mean a stale epoch, not an early fire.
 //
@@ -53,9 +53,12 @@ class TimerWheel {
     std::uint64_t max_lag_ns = 0;  // worst observed fire-past-deadline lag
   };
 
-  // `lot` must outlive the wheel. tick_ns is the level-0 granularity; timed
-  // waits shorter than one tick still take at least one tick to fire.
-  TimerWheel(ParkingLot* lot, std::uint64_t tick_ns);
+  // Level-0 granularity: the worst-case added latency of a timeout, and the
+  // least time any timed wait takes to fire.
+  static constexpr std::uint64_t kTickNs = 1'000'000;
+
+  // `lot` must outlive the wheel.
+  explicit TimerWheel(ParkingLot* lot);
   ~TimerWheel();
 
   TimerWheel(const TimerWheel&) = delete;
@@ -67,10 +70,9 @@ class TimerWheel {
                 std::chrono::steady_clock::time_point deadline);
 
   Stats SnapshotStats() const;
-  std::uint64_t tick_ns() const { return tick_ns_; }
 
  private:
-  static constexpr int kL0Slots = 256;  // tick_ns each
+  static constexpr int kL0Slots = 256;  // kTickNs each
   static constexpr int kL1Slots = 64;   // kL0Slots ticks each
   static constexpr int kL2Slots = 64;   // kL0Slots * kL1Slots ticks each
 
@@ -88,7 +90,6 @@ class TimerWheel {
   void TickerMain();
 
   ParkingLot* const lot_;
-  const std::uint64_t tick_ns_;
   const std::chrono::steady_clock::time_point origin_;
 
   mutable std::mutex mu_;

@@ -128,15 +128,15 @@ void TmSystem::DescheduleImpl(WaitPredFn fn, const WaitArgs& args, bool timed) {
       // Deadline set by the DeadlineExpired check of the *For call that led
       // here. The gated spin comes first, so a wait it satisfies arms no
       // timeout at all: the wheel's mutex and the ticker stay untouched.
-      // With the timer wheel, the sleep registers an epoch-stamped
-      // timeout with the shared ticker and parks for either token; a stale
-      // fire (a wheel post for an earlier epoch of this spot) wakes us with
-      // the timeout token but no expired deadline, so we re-arm and re-park —
-      // ArmTimed bumps the epoch, which retires the stale registration.
+      // Otherwise the sleep registers an epoch-stamped timeout with the
+      // shared ticker and parks for either token; a stale fire (a wheel post
+      // for an earlier epoch of this spot) wakes us with the timeout token
+      // but no expired deadline, so we re-arm and re-park — ArmTimed bumps
+      // the epoch, which retires the stale registration.
       if (lot_.Spin(d.park, ParkingLot::kWakeToken)) {
         spun = true;
         lot_.ParkEither(d.park);  // consumes the wake token without blocking
-      } else if (wheel_ != nullptr) {
+      } else {
         for (;;) {
           std::uint64_t epoch = lot_.ArmTimed(d.park);
           wheel_->Schedule(&d.park, epoch, d.active_deadline);
@@ -145,10 +145,6 @@ void TmSystem::DescheduleImpl(WaitPredFn fn, const WaitArgs& args, bool timed) {
             break;
           }
         }
-      } else {
-        // Wheel disabled: one absolute-deadline timer per sleeper, the
-        // pre-capacity-tier behavior.
-        acquired = lot_.ParkUntil(d.park, d.active_deadline);
       }
     } else {
       spun = lot_.ConsumeToken(d.park);
@@ -184,8 +180,7 @@ void TmSystem::DescheduleImpl(WaitPredFn fn, const WaitArgs& args, bool timed) {
       // token cannot satisfy this thread's *next* sleep instantly.
       //
       // Why the drain can never hang, and never leaks a token — the ordering
-      // argument, in full, because both the per-sleeper timer path and the
-      // timer wheel inherit it unchanged (timeout delivery only changes how
+      // argument, in full (timeout delivery only decides how
       // `acquired == false` is produced above; the claim/post protocol below
       // is oblivious to it):
       //
@@ -240,12 +235,9 @@ void TmSystem::DescheduleImpl(WaitPredFn fn, const WaitArgs& args, bool timed) {
 // can emit a tid twice; see below) — (2) tries to claim each uncontended
 // findChanges candidate with a single orec CAS and no transaction at all
 // (TryCasWakeClaim below), and (3) evaluates predicates and claims slots for
-// the leftover candidates in batches of up to the effective batch size inside
-// ONE wake transaction each, posting every claimed park spot strictly after
-// its claim is durable. With adaptive_wake_batch the effective batch size
-// shrinks while the recent wake-transaction abort rate (EWMA in TxDesc) is
-// high, degrading toward the paper's per-candidate baseline under contention
-// instead of repeatedly aborting large batches.
+// the leftover candidates in batches of up to wake_batch_size inside ONE wake
+// transaction each, posting every claimed park spot strictly after its claim
+// is durable.
 //
 // Why batching preserves the no-lost-wakeup argument (extending the
 // conservativeness argument in wake_index.h): a claim is the transactional
@@ -267,11 +259,6 @@ void TmSystem::DescheduleImpl(WaitPredFn fn, const WaitArgs& args, bool timed) {
 // between our executions shows asleep==0 and is skipped — exactly the
 // idempotence the per-candidate protocol already relied on.
 //
-// wake_single stops claiming at the first non-vacuous satisfied waiter both
-// within a batch (no further candidates of the batch are examined) and across
-// batches (no further batch runs). Vacuous empty-waitset claims earlier in
-// the same batch are still posted — they were committed — but do not absorb
-// the single-wakeup budget.
 // The lock-free claim fast path. An uncontended claim is, at bottom, the
 // asleep 1→0 transition made durable at a serialization point — nothing about
 // it *needs* a full transaction. The fast path performs it directly:
@@ -445,8 +432,7 @@ TmSystem::CasClaimResult TmSystem::TryCasWakeClaim(TxDesc& d, int waiter_tid) {
 void TmSystem::WakeWaiters(const std::vector<const Orec*>& write_orecs) {
   TxDesc& d = Desc();
 
-  // Phase 1: collect candidates. Order is significant (shard-indexed first;
-  // see ForEachCandidateIn) and self never qualifies. Collection dedups with
+  // Phase 1: collect candidates; self never qualifies. Collection dedups with
   // a per-writer seen bitmap: ForEachCandidateIn's global pass masks against
   // the *current* shard words, so a waiter that deregistered from a shard and
   // re-registered globally between the two passes is emitted twice — harmless
@@ -505,8 +491,6 @@ void TmSystem::WakeWaiters(const std::vector<const Orec*>& write_orecs) {
         [&](int tid, WaiterSlot&) { return collect(tid); });
   }
 
-  bool stop = false;
-
   // Phase 2: the lock-free claim fast path. The common case — a few disjoint
   // waiters, nobody racing — claims every candidate here and never runs a
   // wake transaction at all. Undecidable candidates accumulate for phase 3.
@@ -519,23 +503,9 @@ void TmSystem::WakeWaiters(const std::vector<const Orec*>& write_orecs) {
     TCS_PROTO(proto_->OnClockObserved(d.tid, snap_start));
     quiesce_.SetActive(d.tid, snap_start);
     for (int tid : cands) {
-      if (stop) {
-        break;
-      }
-      switch (TryCasWakeClaim(d, tid)) {
-        case CasClaimResult::kClaimed:
-          if (cfg_.wake_single) {
-            // Fast-path claims are never vacuous (empty waitsets fall back),
-            // so every claim absorbs the single-wakeup budget.
-            stop = true;
-          }
-          break;
-        case CasClaimResult::kSkipped:
-          break;
-        case CasClaimResult::kFallback:
-          d.stats.Bump(Counter::kCasClaimFallbacks);
-          work.push_back(tid);
-          break;
+      if (TryCasWakeClaim(d, tid) == CasClaimResult::kFallback) {
+        d.stats.Bump(Counter::kCasClaimFallbacks);
+        work.push_back(tid);
       }
     }
     quiesce_.SetInactive(d.tid);
@@ -543,28 +513,15 @@ void TmSystem::WakeWaiters(const std::vector<const Orec*>& write_orecs) {
     work = cands;
   }
 
-  // Phase 3: batched wake transactions over the leftover candidates. The
-  // effective batch size is capped by wake_batch_size and, when adaptive,
-  // shrunk while the recent wake-tx abort-rate EWMA is high — big batches
-  // amortize commit cost but repeatedly aborting ones re-run more checks.
-  const std::size_t batch_cap =
-      cfg_.wake_batch_size > 0 ? static_cast<std::size_t>(cfg_.wake_batch_size)
-                               : std::size_t{1};
-  std::size_t batch_size = batch_cap;
-  if (cfg_.adaptive_wake_batch) {
-    const std::uint64_t ewma = d.wake_abort_ewma_permille;
-    if (ewma >= 500) {
-      batch_size = std::max<std::size_t>(1, batch_cap / 4);
-    } else if (ewma >= 250) {
-      batch_size = std::max<std::size_t>(1, batch_cap / 2);
-    }
-  }
-  std::uint64_t executions = 0;
-  std::uint64_t batches = 0;
-  for (std::size_t base = 0; base < work.size() && !stop; base += batch_size) {
+  // Phase 3: batched wake transactions over the leftover candidates, up to
+  // wake_batch_size per transaction: big batches amortize commit cost.
+  const std::size_t batch_size = static_cast<std::size_t>(cfg_.wake_batch_size);
+  std::uint64_t aborts = 0;
+  for (std::size_t base = 0; base < work.size(); base += batch_size) {
     const std::size_t end = std::min(work.size(), base + batch_size);
     std::vector<TxDesc::WakeClaim>& claims = d.wake_claims;
     std::size_t checks_this_batch = 0;
+    std::uint64_t executions = 0;
     RunInternalTx([&] {
       // Re-execution of an aborted batch starts clean: tentative claims were
       // rolled back with the transaction, so the list must be rebuilt (else a
@@ -594,21 +551,17 @@ void TmSystem::WakeWaiters(const std::vector<const Orec*>& write_orecs) {
         if (satisfied) {
           Write(&slot.asleep, 0);
           claims.push_back({work[i], vacuous});
-          if (cfg_.wake_single && !vacuous) {
-            // First non-vacuous satisfied waiter: stop claiming within this
-            // batch; the cross-batch stop happens below, after the commit.
-            break;
-          }
         }
       }
     });
+    // Every execution but the committed one aborted and re-ran.
+    aborts += executions - 1;
 #if TCS_PROTOCOL_CHECKS
     // The claim list now reflects the one committed execution of the batch.
     for (const TxDesc::WakeClaim& c : claims) {
       proto_->OnWakeClaimCommitted(c.tid);
     }
 #endif
-    ++batches;
     // Counters reflect the committed execution only (an aborted batch's
     // checks died with it), so kWakeChecks stays an exact per-commit metric.
     d.stats.Bump(Counter::kWakeBatches);
@@ -633,33 +586,15 @@ void TmSystem::WakeWaiters(const std::vector<const Orec*>& write_orecs) {
       lot_.Post(*claimed.park);
       d.stats.Bump(Counter::kWakeups);
       if (c.vacuous) {
-        // A vacuous (empty-waitset) wake is no evidence anyone was satisfied;
-        // it must not absorb the single-wakeup budget, or a genuinely
-        // satisfied waiter later in the scan would starve behind a waiter
-        // that just re-parks without ever committing. Counted separately so
-        // precision metrics can subtract it from kWakeups.
+        // A vacuous (empty-waitset) wake is no evidence anyone was satisfied.
+        // Counted separately so precision metrics can subtract it from
+        // kWakeups.
         d.stats.Bump(Counter::kVacuousWakeups);
-      } else if (cfg_.wake_single) {
-        stop = true;
       }
     }
   }
-
-  // Feed the adaptive policy: executions counts every entry into the batch
-  // lambda, batches only committed ones, so the difference is exactly the
-  // aborted-and-re-run attempts. The EWMA (alpha = 1/8, permille) smooths a
-  // single contended commit into a gradual batch-size response.
-  if (executions > 0) {
-    const std::uint64_t aborts = executions - batches;
-    if (aborts > 0) {
-      d.stats.Bump(Counter::kWakeTxAborts, aborts);
-    }
-    const std::uint64_t rate = aborts * 1000 / executions;
-    // mo: relaxed — monitoring-only tally, owner-writer (this thread is the
-    // sole writer of its own EWMA; SnapshotObs reads it racily, like `stats`).
-    std::atomic_ref<std::uint64_t>(d.wake_abort_ewma_permille)
-        .store((7 * d.wake_abort_ewma_permille + rate) / 8,
-               std::memory_order_relaxed);
+  if (aborts > 0) {
+    d.stats.Bump(Counter::kWakeTxAborts, aborts);
   }
 }
 

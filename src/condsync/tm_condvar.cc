@@ -146,9 +146,7 @@ void TmCondVar::BroadcastNow(TmSystem& sys) {
   // are escape actions and stay strictly after the pop that claimed them
   // committed; the ring state never depends on the posts, so interleaving
   // batches with posts is safe.
-  const int cfg_batch = sys.config().wake_batch_size;
-  const std::size_t batch = cfg_batch > 0 ? static_cast<std::size_t>(cfg_batch)
-                                          : std::size_t{1};
+  const auto batch = static_cast<std::size_t>(sys.config().wake_batch_size);
   std::vector<int> tids;
   for (;;) {
     tids.clear();

@@ -267,7 +267,7 @@ class WaiterRegistry {
   }
 
   // Invokes fn(tid, slot) for every possibly-registered slot, ascending tid;
-  // fn returns false to stop the scan early (wake_single ablation). Iterates
+  // fn returns false to stop the scan early. Iterates
   // allocated segments directly (segment masks, not the summary), so it never
   // depends on summary-repair timing.
   template <typename Fn>

@@ -86,10 +86,10 @@ struct Orec;
 //
 // Every std::memory_order argument in this codebase carries a `// mo:` comment
 // naming its pairing partner; the recurring cross-file edges are named here so
-// the comments can reference them by label. Tooling reads this appendix:
-// tools/lint_tm_discipline.py enforces the comments' presence, and
-// tools/tm_analyze.py parses every annotation into a cross-file edge graph
-// keyed by these tags and verifies each edge is well-formed.
+// the comments can reference them by label. tools/tm_analyze.py reads this
+// appendix: it enforces the comments' presence, parses every annotation into
+// a cross-file edge graph keyed by these tags, and verifies each edge is
+// well-formed.
 //
 // Annotation grammar (machine-checked, see tools/tm_lint_lib.py):
 //
@@ -266,7 +266,7 @@ struct Orec;
 //                  token with a release fetch_or (ParkingLot::Post) strictly
 //                  after the claim transaction commits and the wake-post
 //                  stamp is written; the spot's owner consumes it with an
-//                  acquire RMW (ConsumeToken/ParkEither/ParkUntil). The pair
+//                  acquire RMW (ConsumeToken/ParkEither). The pair
 //                  makes the committed claim and the stamp visible to the
 //                  woken waiter — the same contract the retired per-slot
 //                  semaphore's internal post/wait pair used to provide. The
@@ -442,11 +442,7 @@ class WakeIndex {
 
   // Invokes fn(tid) once for every candidate of a prebuilt shard set — each
   // waiter registered under a covered shard, then each global-fallback
-  // waiter. fn returns false to stop early. Shard-indexed candidates are
-  // visited first: their waitsets name addresses the write set's orecs
-  // actually cover, so under wake_single (which stops at the first wakeup)
-  // the writer prefers a waiter it probably satisfied over an
-  // arbitrary-predicate waiter it merely might have. Zero allocation; cost is
+  // waiter. fn returns false to stop early. Zero allocation; cost is
   // O(allocated segments × (1 + distinct shards touched)). Callers with a
   // registry summary in hand should prefer ForEachCandidateInSegments, which
   // walks only the populated segments.

@@ -2,7 +2,7 @@
 // transaction bodies, and the Atomically() execution loop.
 //
 // lint:hot-path — per-access TM fast path: TCS_DCHECK must not appear inside
-// loops here (tools/lint_tm_discipline.py); use TCS_CHECK on slow paths.
+// loops here (tools/tm_analyze.py); use TCS_CHECK on slow paths.
 //
 // A body may execute any number of times (conflict aborts, Retry re-executions,
 // deschedule wakeups), so it must be side-effect-free except through Tx operations

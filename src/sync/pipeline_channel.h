@@ -40,7 +40,7 @@ class PipelineChannel {
   // pthreads reference (no Runtime) it is read/written under mu_, like
   // WorkQueue's pthreads path. Either way the sync/ adapters carry no raw
   // atomics (the memory-order reasoning lives in the TM and condsync layers;
-  // tools/lint_tm_discipline.py enforces the boundary).
+  // tools/tm_analyze.py enforces the boundary).
   std::mutex mu_;
   TVar<std::uint64_t> producers_left_;
 };

@@ -1,5 +1,5 @@
 // lint:hot-path — per-access TM fast path: TCS_DCHECK must not appear inside
-// loops here (tools/lint_tm_discipline.py); use TCS_CHECK on slow paths.
+// loops here (tools/tm_analyze.py); use TCS_CHECK on slow paths.
 #include "src/tm/lazy_stm.h"
 
 namespace tcs {

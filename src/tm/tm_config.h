@@ -31,22 +31,6 @@ struct TmConfig {
   // 256 tids, not slabs.
   int max_threads = 65536;
 
-  // ---- Capacity-tier knobs ----
-  // ParkingLot backend (ParkingLot::Backend numbering): 0 auto (futex on
-  // Linux, else the mutex+condvar pool), 1 futex, 2 pool. The pool fallback
-  // is also the portable reference implementation for tests.
-  int park_backend = 0;
-  // Route timed waits (RetryFor/AwaitFor/WaitPredFor deadlines) through the
-  // shared hierarchical TimerWheel: N concurrent timed waits cost one ticker
-  // thread and O(1) per tick instead of N independent kernel timeouts. Off,
-  // each timed wait parks with its own deadline (ablation baseline; also the
-  // pre-capacity-tier behavior).
-  bool timer_wheel = true;
-  // TimerWheel level-0 tick in microseconds: the granularity (and worst-case
-  // added latency) of wheel-serviced timeouts. Timed waits never fire early;
-  // they fire up to one tick late plus ticker scheduling lag.
-  int timer_wheel_tick_us = 1000;
-
   // Run commit-time quiescence so privatization is safe (Appendix A).
   bool privatization_safety = true;
 
@@ -72,11 +56,13 @@ struct TmConfig {
   // without re-executing in software mode.
   bool htm_pred_table = false;
 
-  // ---- Condition-synchronization knobs (ablations) ----
-  // Wake at most one satisfied waiter per writer commit instead of all of them
-  // (our mechanisms "essentially broadcast", §2.4.1; this knob quantifies that).
-  bool wake_single = false;
-
+  // ---- Condition-synchronization knobs ----
+  // Three reproduce paper baselines: targeted_wakeup off is the global
+  // wakeWaiters scan, and wake_batch_size = 1 with cas_claim_fast_path off is
+  // Algorithm 4's one wake transaction per candidate. wake_index_shards is
+  // swept by the wake-index precision bench. Parking (futex on Linux, a
+  // mutex+condvar pool elsewhere) and the timer wheel's 1-ms tick for timed
+  // waits are fixed.
   // Candidates per internal wake transaction in wakeWaiters. The paper's
   // Algorithm 4 re-checks each candidate in its own transaction; every check
   // then pays a full tx setup/commit (clock RMW included) on the committing
@@ -84,26 +70,18 @@ struct TmConfig {
   // candidates are predicate-checked and claimed inside ONE wake transaction,
   // with all claimed park spots posted strictly after it commits (see
   // deschedule.cc for why the no-lost-wakeup argument survives batching).
-  // 1 reverts to the paper's per-candidate transactions (ablation baseline).
-  // With adaptive_wake_batch on, this is the CAP on the effective batch size;
-  // the actual batch scales with the candidate count and shrinks when the
-  // recent wake-tx abort rate (EWMA in TxDesc) is high.
+  // 1, with cas_claim_fast_path off, is the paper's per-candidate
+  // transactions (ablation baseline). Must be at least 1: the TmSystem
+  // constructor rejects anything smaller.
   int wake_batch_size = 8;
 
   // Lock-free CAS claim fast path: an uncontended waiter slot's asleep 1->0
   // transition is claimed by locking the slot's covering orec with a single
   // compare_exchange (plus a predicate-snapshot validation) instead of running
   // a full internal wake transaction. Contended / mid-registration slots fall
-  // back to the batched wake transaction. Off reproduces PR 5's all-batched
-  // behavior (ablation baseline).
+  // back to the batched wake transaction. Off sends every candidate through
+  // the batched wake transactions (ablation baseline).
   bool cas_claim_fast_path = true;
-
-  // Scale the effective wake batch per commit: min(wake_batch_size,
-  // candidate count), halved (or quartered) while the wake-tx abort-rate EWMA
-  // is high so contended wake batches shrink toward the paper's per-candidate
-  // baseline instead of repeatedly aborting large batches. Off uses the fixed
-  // wake_batch_size (ablation baseline).
-  bool adaptive_wake_batch = true;
 
   // Sharded wakeup index (src/condsync/wake_index.h): committing writers
   // wake-check only the waiters registered under shards their write-set orecs

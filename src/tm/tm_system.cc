@@ -1,5 +1,5 @@
 // lint:hot-path — per-access TM fast path: TCS_DCHECK must not appear inside
-// loops here (tools/lint_tm_discipline.py); use TCS_CHECK on slow paths.
+// loops here (tools/tm_analyze.py); use TCS_CHECK on slow paths.
 #include "src/tm/tm_system.h"
 
 #include <algorithm>
@@ -71,17 +71,14 @@ TmSystem::TmSystem(const TmConfig& config)
       quiesce_(config.max_threads),
       // mo: relaxed — uid allocation only needs uniqueness (atomicity), not
       // ordering; no other data is published through this counter.
-      uid_(g_system_uid.fetch_add(1, std::memory_order_relaxed)),
-      lot_(static_cast<ParkingLot::Backend>(config.park_backend)) {
+      uid_(g_system_uid.fetch_add(1, std::memory_order_relaxed)) {
+  TCS_CHECK_MSG(cfg_.wake_batch_size >= 1, "wake_batch_size must be at least 1");
   descs_.resize(static_cast<std::size_t>(cfg_.max_threads));
   waiters_ = std::make_unique<WaiterRegistry>(cfg_.max_threads);
   retry_orig_ = std::make_unique<RetryOrigRegistry>(cfg_.max_threads, &lot_);
   wake_index_ =
       std::make_unique<WakeIndex>(cfg_.max_threads, cfg_.wake_index_shards);
-  if (cfg_.timer_wheel) {
-    wheel_ = std::make_unique<TimerWheel>(
-        &lot_, static_cast<std::uint64_t>(cfg_.timer_wheel_tick_us) * 1000);
-  }
+  wheel_ = std::make_unique<TimerWheel>(&lot_);
 #if TCS_PROTOCOL_CHECKS
   proto_ = std::make_unique<ProtocolChecker>(orecs_, cfg_.max_threads);
   // Standalone WakeIndex/WaiterRegistry instances (unit tests) stay unchecked;
@@ -839,13 +836,6 @@ TmSystem::ObsSnapshot TmSystem::SnapshotObs(std::size_t top_n_orecs) const {
     for (int i = 0; i < kNumAbortCauses; ++i) {
       snap.abort_causes[i] += d->obs.causes.Get(static_cast<AbortCause>(i));
     }
-    // mo: relaxed — the EWMA is a monitoring tally (owner-writer, like
-    // `stats`); staleness is fine, atomicity avoids a torn read.
-    std::uint64_t ewma = std::atomic_ref<const std::uint64_t>(
-                             d->wake_abort_ewma_permille)
-                             .load(std::memory_order_relaxed);
-    snap.wake_abort_ewma_permille =
-        std::max(snap.wake_abort_ewma_permille, ewma);
     snap.commit_latency.MergeFrom(d->obs.commit_latency);
     snap.abort_to_commit.MergeFrom(d->obs.abort_to_commit);
     snap.wait_duration.MergeFrom(d->obs.wait_duration);
@@ -875,10 +865,7 @@ TmSystem::ObsSnapshot TmSystem::SnapshotObs(std::size_t top_n_orecs) const {
   snap.registry_segments = waiters_->AllocatedSegments();
   snap.wake_index_segments = wake_index_->AllocatedSegments();
   snap.registered_waiters = waiters_->RegisteredCount();
-  if (wheel_ != nullptr) {
-    snap.wheel_enabled = true;
-    snap.wheel = wheel_->SnapshotStats();
-  }
+  snap.wheel = wheel_->SnapshotStats();
   return snap;
 }
 
@@ -922,7 +909,6 @@ void TmSystem::SnapshotMetrics(JsonWriter& w, std::size_t top_n_orecs) const {
   }
   w.EndArray();
   w.Key("hot_orec_overflow").U64(snap.hot_orec_overflow);
-  w.Key("wake_abort_ewma_permille").U64(snap.wake_abort_ewma_permille);
   w.Key("latency_ns").BeginObject();
   EmitHistogram(w, "commit", snap.commit_latency);
   EmitHistogram(w, "abort_to_commit", snap.abort_to_commit);
@@ -939,7 +925,6 @@ void TmSystem::SnapshotMetrics(JsonWriter& w, std::size_t top_n_orecs) const {
       .U64(static_cast<std::uint64_t>(snap.registered_waiters));
   w.EndObject();
   w.Key("timer_wheel").BeginObject();
-  w.Key("enabled").Bool(snap.wheel_enabled);
   w.Key("ticks").U64(snap.wheel.ticks);
   w.Key("scheduled").U64(snap.wheel.scheduled);
   w.Key("fired").U64(snap.wheel.fired);

@@ -222,9 +222,6 @@ class TmSystem {
     };
     std::vector<HotOrec> hot_orecs;
     std::uint64_t hot_orec_overflow = 0;
-    // Highest per-thread wake-transaction abort-rate EWMA (permille) — the
-    // signal adaptive_wake_batch steers on (see TxDesc).
-    std::uint64_t wake_abort_ewma_permille = 0;
     // --- capacity tier (segmented condsync structures + timer wheel) ---
     // Heap footprint of the waiter registry / wake index (directory plus every
     // allocated segment), and how many 256-tid segments each has materialized.
@@ -234,8 +231,7 @@ class TmSystem {
     int wake_index_segments = 0;
     // Currently registered (published) waiters.
     int registered_waiters = 0;
-    // Timer-wheel counters (all zero when the wheel is disabled).
-    bool wheel_enabled = false;
+    // Timer-wheel counters.
     TimerWheel::Stats wheel;
   };
   ObsSnapshot SnapshotObs(std::size_t top_n_orecs = 16) const;
@@ -414,9 +410,8 @@ class TmSystem {
   // (and after descs_) so destruction runs wheel → lot → descriptors: the
   // ticker thread stops while the spots it posts into are still alive.
   ParkingLot lot_;
-  // Hierarchical timer wheel for timed waits; null when cfg_.timer_wheel is
-  // off (timed waits then park with an absolute deadline, one timer per
-  // sleeper, exactly the pre-capacity-tier behavior).
+  // Hierarchical timer wheel for timed waits; always built (its ticker
+  // thread starts on the first timed wait).
   std::unique_ptr<TimerWheel> wheel_;
 };
 

@@ -177,12 +177,6 @@ struct TxDesc {
   // words), taken once per wake pass and used as the wake index's segment
   // iteration mask (WakeIndex::ForEachCandidateInSegments).
   std::vector<std::uint64_t> wake_seg_scratch;
-  // Wake-transaction abort rate, EWMA in permille (0..1000), alpha = 1/8:
-  // updated by the owning writer after each wake pass from (batch lambda
-  // executions - committed batches). adaptive_wake_batch shrinks the
-  // effective batch while this is high. Read by monitors through a relaxed
-  // atomic_ref (same contract as `stats`).
-  std::uint64_t wake_abort_ewma_permille = 0;
 
   // --- simulated HTM state ---
   bool htm_serial = false;         // currently executing in serial-irrevocable mode

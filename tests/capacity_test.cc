@@ -1,7 +1,6 @@
 // Capacity-tier tests: 10^4 parked waiters per backend against the segmented
-// registry/index + pooled parking, the max_threads ceiling's loud death, the
-// mutex+condvar parking-pool fallback, and timed-wait churn through (and
-// without) the shared TimerWheel.
+// registry/index + pooled parking, the max_threads ceiling's loud death, and
+// timed-wait churn through the shared TimerWheel.
 #include <gtest/gtest.h>
 
 #include <malloc.h>
@@ -15,7 +14,6 @@
 #include <memory>
 #include <thread>
 
-#include "src/common/parking_lot.h"
 #include "src/condsync/waiter_registry.h"
 #include "src/core/runtime.h"
 #include "src/core/transaction.h"
@@ -106,11 +104,10 @@ class SmallStackThreads {
 // waiters and counts their acks (any shortfall is a lost wakeup), then
 // releases and joins everyone (the definitive no-lost-wakeup check for the
 // release broadcast).
-void RunManyWaitersPoint(Backend backend, int waiters, int park_backend) {
+void RunManyWaitersPoint(Backend backend, int waiters) {
   TmConfig cfg;
   cfg.backend = backend;
   cfg.max_threads = waiters + 16;
-  cfg.park_backend = park_backend;
   Runtime rt(cfg);
 
   auto cells = std::make_unique<PaddedCell[]>(static_cast<std::size_t>(waiters));
@@ -184,29 +181,15 @@ void RunManyWaitersPoint(Backend backend, int waiters, int park_backend) {
 }
 
 TEST(CapacityTest, ManyWaitersEager) {
-  RunManyWaitersPoint(Backend::kEagerStm, kManyWaiters, /*park_backend=*/0);
+  RunManyWaitersPoint(Backend::kEagerStm, kManyWaiters);
 }
 
 TEST(CapacityTest, ManyWaitersLazy) {
-  RunManyWaitersPoint(Backend::kLazyStm, kManyWaiters, /*park_backend=*/0);
+  RunManyWaitersPoint(Backend::kLazyStm, kManyWaiters);
 }
 
 TEST(CapacityTest, ManyWaitersHtm) {
-  RunManyWaitersPoint(Backend::kSimHtm, kManyWaiters, /*park_backend=*/0);
-}
-
-// The portable mutex+condvar parking pool must pass the same protocol the
-// futex backend does (it is the only backend off-Linux).
-TEST(CapacityTest, ManyWaitersPoolParking) {
-  RunManyWaitersPoint(Backend::kEagerStm, std::min(kManyWaiters, 2048),
-                      /*park_backend=*/2);
-}
-
-TEST(CapacityTest, PoolBackendReportsNoFutex) {
-  TmConfig cfg;
-  cfg.park_backend = 2;
-  Runtime rt(cfg);
-  EXPECT_FALSE(rt.sys().parking().UsesFutex());
+  RunManyWaitersPoint(Backend::kSimHtm, kManyWaiters);
 }
 
 // Segment directories grow by appending 256-tid blocks as tids are touched;
@@ -263,7 +246,6 @@ TEST(CapacityTest, QuiesceTableFootprintStaysSmallAtDefaultCeiling) {
     TmConfig cfg;
     cfg.backend = backends[b];
     ASSERT_EQ(cfg.max_threads, 65536);
-    cfg.timer_wheel = false;  // no ticker thread allocating mid-measurement
     const std::int64_t before = heap_bytes();
     {
       Runtime rt(cfg);
@@ -360,7 +342,6 @@ TEST(CapacityTest, TimedChurnSharesOneWheel) {
   const std::uint64_t timed_waits =
       rt.AggregateStats().Get(Counter::kWaitTimeouts);
   TmSystem::ObsSnapshot obs = rt.sys().SnapshotObs();
-  ASSERT_TRUE(obs.wheel_enabled);
   // 64 waiters × (500ms / 2ms) ≈ 16k waits; the 1ms ticker fits ~500 ticks
   // in the same window. Generous margins keep this robust on loaded CI.
   EXPECT_GT(timed_waits, static_cast<std::uint64_t>(kTimedWaiters));
@@ -371,50 +352,12 @@ TEST(CapacityTest, TimedChurnSharesOneWheel) {
   EXPECT_EQ(rt.sys().ProtocolViolations(), 0u);
 }
 
-// Wheel-off ablation regression: per-wait kernel timeouts (ParkUntil) must
-// still deliver expiries and survive wake-vs-timeout races (the drain
-// documented in DescheduleImpl).
-TEST(CapacityTest, WheelOffTimedWaitsStillExpireAndWake) {
-  TmConfig cfg;
-  cfg.timer_wheel = false;
-  Runtime rt(cfg);
-  TVar<std::uint64_t> cell;
-  std::thread waiter([&] {
-    for (;;) {
-      std::uint64_t v = Atomically(rt.sys(), [&](Tx& tx) -> std::uint64_t {
-        std::uint64_t cur = tx.Load(cell);
-        if (cur == 0) {
-          if (tx.RetryFor(std::chrono::milliseconds(3)) ==
-              WaitResult::kTimedOut) {
-            return cur;
-          }
-        }
-        return cur;
-      });
-      if (v != 0) {
-        return;
-      }
-    }
-  });
-  while (rt.AggregateStats().Get(Counter::kWaitTimeouts) < 5) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  Atomically(rt.sys(), [&](Tx& tx) { tx.Store(cell, std::uint64_t{1}); });
-  waiter.join();
-  TmSystem::ObsSnapshot obs = rt.sys().SnapshotObs();
-  EXPECT_FALSE(obs.wheel_enabled);
-  EXPECT_EQ(obs.wheel.scheduled, 0u);
-  EXPECT_GE(rt.AggregateStats().Get(Counter::kWaitTimeouts), 5u);
-}
-
-// Wake-vs-timeout churn with the wheel ON: rapid writer commits against a
-// 1ms-timeout waiter force every interleaving of claimed wake, wheel fire,
-// and re-arm (ArmTimed must retire stale timeout tokens, ParkEither must
-// prefer the wake token). Termination of the join is the assertion.
+// Wake-vs-timeout churn: rapid writer commits against a 1ms-timeout waiter
+// force every interleaving of claimed wake, wheel fire, and re-arm (ArmTimed
+// must retire stale timeout tokens, ParkEither must prefer the wake token).
+// Termination of the join is the assertion.
 TEST(CapacityTest, TimedWaitWakeRaceChurn) {
-  TmConfig cfg;
-  cfg.timer_wheel_tick_us = 500;
-  Runtime rt(cfg);
+  Runtime rt;
   TVar<std::uint64_t> cell;
   std::thread waiter([&] {
     std::uint64_t last_seen = 0;

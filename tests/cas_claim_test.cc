@@ -34,7 +34,6 @@ TmConfig ConfigFor(Backend b) {
   cfg.max_threads = 64;
   // Defaults, but spelled out: this suite is about both paths being live.
   cfg.cas_claim_fast_path = true;
-  cfg.adaptive_wake_batch = true;
   cfg.wake_batch_size = 4;
   return cfg;
 }
@@ -258,49 +257,6 @@ TEST_P(CasClaimTest, FastAndBatchedClaimsRaceUnderChurn) {
   EXPECT_EQ(rt.sys().waiters().RegisteredCount(), 0);
   EXPECT_TRUE(rt.sys().wake_index().Empty())
       << "an index entry leaked through the racing claim paths";
-}
-
-// wake_single with the fast path: a commit satisfying many waiters may post
-// exactly one wakeup, even when the claims come from the CAS path.
-TEST_P(CasClaimTest, WakeSingleBudgetHoldsOnTheFastPath) {
-  constexpr int kWaiters = 6;
-  TmConfig cfg = ConfigFor(GetParam());
-  cfg.wake_single = true;
-  Runtime rt(cfg);
-  PaddedCell cell;
-  std::atomic<int> woken{0};
-  std::vector<std::thread> waiters;
-  for (int t = 0; t < kWaiters; ++t) {
-    waiters.emplace_back([&] {
-      Atomically(rt.sys(), [&](Tx& tx) {
-        if (tx.Load(cell.v) == 0) {
-          tx.Retry();
-        }
-      });
-      // mo: acq_rel — [harness] cross-thread counter/flag RMW.
-      woken.fetch_add(1, std::memory_order_acq_rel);
-    });
-  }
-  AwaitCounter(rt, Counter::kSleeps, kWaiters);
-  rt.ResetStats();
-  Atomically(rt.sys(), [&](Tx& tx) { tx.Store(cell.v, std::uint64_t{1}); });
-  // mo: acquire — [harness] observe worker-published state.
-  while (woken.load(std::memory_order_acquire) < 1) {
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_EQ(rt.AggregateStats().Get(Counter::kWakeups), 1u)
-      << "wake_single leaked extra wakeups through the fast path";
-  // The woken waiter's read-only commit wakes nobody; drive the rest out.
-  // mo: acquire — [harness] observe worker-published state.
-  while (woken.load(std::memory_order_acquire) < kWaiters) {
-    Atomically(rt.sys(), [&](Tx& tx) { tx.Store(cell.v, std::uint64_t{1}); });
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
-  for (auto& t : waiters) {
-    t.join();
-  }
-  EXPECT_TRUE(rt.sys().wake_index().Empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, CasClaimTest,

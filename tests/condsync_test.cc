@@ -680,22 +680,40 @@ class TimedWaitTest : public ::testing::TestWithParam<Backend> {
   Runtime rt_;
 };
 
+// Budgets below, at, and well above the timer wheel's 1-ms tick. The wheel
+// rounds deadlines up to a tick, and that rule alone keeps a timeout from
+// firing early, so each wait is timed from outside Atomically.
 TEST_P(TimedWaitTest, RetryForTimesOutAndLeavesNoRegistryEntry) {
   TVar<std::uint64_t> flag(0);
-  bool got = Atomically(rt_.sys(), [&](Tx& tx) -> bool {
-    if (tx.Load(flag) == 0) {
-      if (tx.RetryFor(std::chrono::milliseconds(30)) == WaitResult::kTimedOut) {
-        return false;
+  std::uint64_t timeouts = 0;
+  for (std::chrono::microseconds budget :
+       {std::chrono::microseconds(200), std::chrono::microseconds(1000),
+        std::chrono::microseconds(30000)}) {
+    const auto start = std::chrono::steady_clock::now();
+    bool got = Atomically(rt_.sys(), [&](Tx& tx) -> bool {
+      if (tx.Load(flag) == 0) {
+        if (tx.RetryFor(budget) == WaitResult::kTimedOut) {
+          return false;
+        }
       }
-    }
-    return true;
-  });
-  EXPECT_FALSE(got);
+      return true;
+    });
+    const std::chrono::nanoseconds elapsed =
+        std::chrono::steady_clock::now() - start;
+    EXPECT_FALSE(got) << budget.count() << " us";
+    EXPECT_GE(elapsed.count(),
+              std::chrono::nanoseconds(budget).count())
+        << "timed out early at " << budget.count() << " us";
+    TxStats s = rt_.AggregateStats();
+    EXPECT_GT(s.Get(Counter::kWaitTimeouts), timeouts) << budget.count()
+                                                       << " us";
+    timeouts = s.Get(Counter::kWaitTimeouts);
+    // The acceptance criterion: the expired waiter must not leak its slot.
+    EXPECT_EQ(rt_.sys().waiters().RegisteredCount(), 0) << budget.count()
+                                                        << " us";
+  }
   TxStats s = rt_.AggregateStats();
-  EXPECT_GE(s.Get(Counter::kWaitTimeouts), 1u);
   EXPECT_GE(s.Get(Counter::kSleeps), 1u);
-  // The acceptance criterion: the expired waiter must not leak its slot.
-  EXPECT_EQ(rt_.sys().waiters().RegisteredCount(), 0);
   // And later writer commits must not pay wake checks for a ghost waiter.
   std::uint64_t checks_before = s.Get(Counter::kWakeChecks);
   Atomically(rt_.sys(), [&](Tx& tx) { tx.Store(flag, std::uint64_t{1}); });

@@ -1,8 +1,9 @@
 // ParkingLot protocol tests, run on both blocking backends (futex and the
 // mutex+condvar pool): exact token accounting when posts race parks at
 // randomized offsets (wake vs timeout tokens, stale epochs, the timeout
-// drain), the sleeper bit staying clear when a post lands during the spin,
-// and the spin gate closing after long waits and re-opening after short ones.
+// drain), more blocked spots than the pool has buckets, the sleeper bit
+// staying clear when a post lands during the spin, and the spin gate closing
+// after long waits and re-opening after short ones.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,6 +16,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/common/cpu.h"
@@ -170,8 +172,8 @@ TEST_P(ParkingLotTest, PostRacingParkLosesAndDuplicatesNoToken) {
 // a stale one) at random offsets. Whatever the interleaving, the round must
 // consume the wake token exactly once — through the park, or through the
 // timeout drain when the timeout won — and leave no wake token or sleeper
-// bit behind. `park_until` swaps the wheel path for the wheel-less one.
-void RunWakeVsTimeoutRounds(ParkingLot& lot, bool park_until) {
+// bit behind.
+TEST_P(ParkingLotTest, WakeVsTimeoutTokensAccountedExactly) {
   ParkSpot spot;
   std::barrier round_start(3);
   std::barrier round_end(3);
@@ -187,7 +189,7 @@ void RunWakeVsTimeoutRounds(ParkingLot& lot, bool park_until) {
     for (int i = 0; i < kRounds; ++i) {
       round_start.arrive_and_wait();
       BusyFor(RandomOffsetNs(rng));
-      lot.Post(spot);
+      lot_.Post(spot);
       round_end.arrive_and_wait();
     }
   });
@@ -201,11 +203,11 @@ void RunWakeVsTimeoutRounds(ParkingLot& lot, bool park_until) {
       std::uint64_t e = epoch.load(std::memory_order_acquire);
       // mo: acquire — [harness] as above.
       if (stale_round.load(std::memory_order_acquire)) {
-        if (lot.PostTimeout(spot, e - 1)) {
+        if (lot_.PostTimeout(spot, e - 1)) {
           ++stale_accepted;  // ticker-owned; read after join
         }
-      } else if (!park_until) {
-        lot.PostTimeout(spot, e);
+      } else {
+        lot_.PostTimeout(spot, e);
       }
       round_end.arrive_and_wait();
     }
@@ -216,21 +218,14 @@ void RunWakeVsTimeoutRounds(ParkingLot& lot, bool park_until) {
     // mo: release — [harness] publish the round's kind to the ticker.
     stale_round.store(rng.NextBounded(4) == 0, std::memory_order_release);
     // mo: release — [harness] publish the round's epoch to the ticker.
-    epoch.store(lot.ArmTimed(spot), std::memory_order_release);
+    epoch.store(lot_.ArmTimed(spot), std::memory_order_release);
     round_start.arrive_and_wait();
-    bool woke;
-    if (park_until) {
-      woke = lot.ParkUntil(spot, Clock::now() + std::chrono::microseconds(
-                                                    rng.NextBounded(100)));
-    } else {
-      woke = lot.ParkEither(spot);
-    }
-    if (woke) {
+    if (lot_.ParkEither(spot)) {
       ++wakes;
     } else {
       // The waker posts every round, so a timeout must be drained.
       ++timeouts;
-      lot.ConsumeToken(spot);
+      lot_.ConsumeToken(spot);
     }
     round_end.arrive_and_wait();
     // Every producer of this round is done: only a timeout token that lost
@@ -246,16 +241,63 @@ void RunWakeVsTimeoutRounds(ParkingLot& lot, bool park_until) {
   // Both outcomes of the race were exercised.
   EXPECT_GT(wakes, 0);
   EXPECT_GT(timeouts, 0);
-  lot.ArmTimed(spot);
+  lot_.ArmTimed(spot);
   EXPECT_EQ(StateOf(spot) & kTokenBits, 0u);
 }
 
-TEST_P(ParkingLotTest, WakeVsTimeoutTokensAccountedExactly) {
-  RunWakeVsTimeoutRounds(lot_, /*park_until=*/false);
-}
-
-TEST_P(ParkingLotTest, WakeVsDeadlineTokensAccountedExactly) {
-  RunWakeVsTimeoutRounds(lot_, /*park_until=*/true);
+// More spots blocked at once than the pool has buckets, so pool sleepers
+// must share buckets, and a post's notify_all wakes every sharer: each
+// sharer without a token has to go back to sleep, and none may take another
+// spot's token. Every spot is posted once, in shuffled order, and must be
+// consumed exactly once with nothing left in its word. The futex backend
+// runs the same protocol.
+TEST_P(ParkingLotTest, SharedBucketsDeliverEachTokenExactlyOnce) {
+  constexpr int kSpots = 300;
+  static_assert(kSpots > static_cast<int>(ParkingLot::kPoolBuckets));
+  std::vector<ParkSpot> spots(kSpots);
+  std::vector<std::atomic<bool>> posted(kSpots);
+  // Written by waiter i before it exits; read after the join.
+  std::vector<char> spun(kSpots, 0);
+  std::vector<char> early(kSpots, 0);
+  std::vector<std::thread> waiters;
+  waiters.reserve(kSpots);
+  for (int i = 0; i < kSpots; ++i) {
+    waiters.emplace_back([&, i] {
+      const auto k = static_cast<std::size_t>(i);
+      spun[k] = lot_.ConsumeToken(spots[k]) ? 1 : 0;
+      // mo: acquire — [harness] pairs with the poster's release store: a
+      // waiter that returns before its own spot was posted took no token.
+      early[k] = posted[k].load(std::memory_order_acquire) ? 0 : 1;
+    });
+  }
+  // Post only once every waiter has advertised itself as blocked, so all
+  // kSpots are parked at the same time.
+  for (const ParkSpot& spot : spots) {
+    while ((StateOf(spot) & ParkingLot::kSleeper) == 0u) {
+      std::this_thread::yield();
+    }
+  }
+  std::vector<std::size_t> order(kSpots);
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    order[k] = k;
+  }
+  SplitMix64 rng(13);
+  for (std::size_t k = order.size() - 1; k > 0; --k) {
+    std::swap(order[k], order[rng.NextBounded(k + 1)]);
+  }
+  for (std::size_t k : order) {
+    // mo: release — [harness] marks the spot posted before its token lands.
+    posted[k].store(true, std::memory_order_release);
+    lot_.Post(spots[k]);
+  }
+  for (auto& t : waiters) {
+    t.join();
+  }
+  for (std::size_t k = 0; k < spots.size(); ++k) {
+    EXPECT_EQ(early[k], 0) << "spot " << k << " woke without its token";
+    EXPECT_EQ(spun[k], 0) << "spot " << k << " was posted before it blocked";
+    EXPECT_EQ(StateOf(spots[k]), 0u) << "spot " << k << " kept a token";
+  }
 }
 
 // A post that lands while its waiter spins is consumed without blocking: the

@@ -649,12 +649,11 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, EmptyWaitsetTest,
                            return BackendTestName(info.param);
                          });
 
-// --- wake_single shard-locality preference ---
+// --- candidate order ---
 
 TEST(WakeIndexUnitTest, CandidatesVisitIndexedBeforeGlobal) {
-  // The candidate order is the wake_single policy: shard-indexed waiters (whose
-  // waitsets name addresses the write set covers) come before global-fallback
-  // waiters, regardless of tid order.
+  // Shard-indexed waiters (whose waitsets name addresses the write set covers)
+  // come before global-fallback waiters, regardless of tid order.
   WakeIndex idx(64, 64);
   Orec o;
   idx.AddGlobal(2);  // lower tid, but only on the fallback list
@@ -673,139 +672,6 @@ TEST(WakeIndexUnitTest, CandidatesVisitIndexedBeforeGlobal) {
   EXPECT_TRUE(idx.Empty());
 }
 
-bool AlwaysReadCellPred(TmSystem& sys, const WaitArgs& args) {
-  const auto* cell = reinterpret_cast<const TVar<std::uint64_t>*>(args.v[0]);
-  return sys.Read(cell->word()) != 0;
-}
-
-class WakeSingleLocalityTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(WakeSingleLocalityTest, PrefersShardLocalWaiterOverGlobalFallback) {
-  // Two waiters, both satisfied by the same write: a WaitPred waiter on the
-  // global fallback list (registered first, so it holds the lower tid and
-  // would win a tid-ordered scan) and a Retry waiter indexed under the
-  // written cell's shard. With wake_single, the committing writer must prefer
-  // the shard-local candidate: the indexed waiter wakes, the global one stays
-  // asleep until a later commit. Runs at 64 and 1024 shards — the ordering
-  // must hold across the multi-word shard-set representation.
-  TmConfig cfg = ConfigFor(Backend::kEagerStm, /*targeted=*/true, GetParam());
-  cfg.wake_single = true;
-  Runtime rt(cfg);
-  TVar<std::uint64_t> cell(0);
-  std::atomic<bool> pred_woke{false};
-  std::atomic<bool> indexed_woke{false};
-
-  std::thread pred_waiter([&] {
-    Atomically(rt.sys(), [&](Tx& tx) {
-      if (tx.Load(cell) == 0) {
-        WaitArgs args;
-        args.v[0] = reinterpret_cast<TmWord>(&cell);
-        args.n = 1;
-        tx.WaitPred(&AlwaysReadCellPred, args);
-      }
-    });
-    // mo: release — [harness] publish state to other harness threads.
-    pred_woke.store(true, std::memory_order_release);
-  });
-  AwaitCounter(rt, Counter::kGlobalDeschedules, 1);
-  std::thread indexed_waiter([&] {
-    Atomically(rt.sys(), [&](Tx& tx) {
-      if (tx.Load(cell) == 0) {
-        tx.Retry();
-      }
-    });
-    // mo: release — [harness] publish state to other harness threads.
-    indexed_woke.store(true, std::memory_order_release);
-  });
-  AwaitCounter(rt, Counter::kSleeps, 2);
-
-  Atomically(rt.sys(), [&](Tx& tx) { tx.Store(cell, std::uint64_t{1}); });
-  // mo: acquire — [harness] observe worker-published state.
-  while (!indexed_woke.load(std::memory_order_acquire)) {
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
-  indexed_waiter.join();
-  // Give a mis-ordered wakeup time to surface before asserting.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  // mo: acquire — [harness] observe worker-published state.
-  EXPECT_TRUE(indexed_woke.load(std::memory_order_acquire));
-  // mo: acquire — [harness] observe worker-published state.
-  EXPECT_FALSE(pred_woke.load(std::memory_order_acquire))
-      << "wake_single woke the global-fallback waiter over the shard-local one";
-  EXPECT_EQ(rt.AggregateStats().Get(Counter::kWakeups), 1u);
-
-  // A second commit releases the remaining (global) waiter.
-  Atomically(rt.sys(), [&](Tx& tx) { tx.Store(cell, std::uint64_t{2}); });
-  pred_waiter.join();
-  EXPECT_TRUE(rt.sys().wake_index().Empty());
-}
-
-INSTANTIATE_TEST_SUITE_P(ShardCounts, WakeSingleLocalityTest,
-                         ::testing::Values(64, 1024),
-                         [](const ::testing::TestParamInfo<int>& info) {
-                           return "Shards" + std::to_string(info.param);
-                         });
-
-TEST(WakeSingleEmptyWaitsetTest, VacuousWakeDoesNotStealTheSingleWakeup) {
-  // An empty-waitset waiter is woken conservatively on any writer commit, but
-  // that vacuous wake is no evidence anyone was satisfied — under wake_single
-  // it must not absorb the single-wakeup budget, or a genuinely satisfied
-  // waiter later on the global list starves behind a waiter that just
-  // re-parks without ever committing.
-  TmConfig cfg = ConfigFor(Backend::kEagerStm);
-  cfg.wake_single = true;
-  Runtime rt(cfg);
-  TVar<std::uint64_t> cell(0);
-  std::atomic<bool> go{false};
-  std::atomic<bool> pred_done{false};
-  // The empty-waitset waiter registers first (lower tid → visited first on
-  // the global list).
-  std::thread empty_waiter([&] {
-    Atomically(rt.sys(), [&](Tx& tx) {
-      // mo: acquire — [harness] observe the main thread's release of `go`.
-      if (!go.load(std::memory_order_acquire)) {
-        (void)tx.RetryFor(std::chrono::seconds(10));
-      }
-    });
-  });
-  AwaitCounter(rt, Counter::kSleeps, 1);
-  std::thread pred_waiter([&] {
-    Atomically(rt.sys(), [&](Tx& tx) {
-      if (tx.Load(cell) < 1) {
-        WaitArgs args;
-        args.v[0] = reinterpret_cast<TmWord>(&cell);
-        args.v[1] = 1;
-        args.n = 2;
-        tx.WaitPred(&CellAtLeastPred, args);
-      }
-    });
-    // mo: release — [harness] publish state to other harness threads.
-    pred_done.store(true, std::memory_order_release);
-  });
-  AwaitCounter(rt, Counter::kSleeps, 2);
-  // One writer commit both vacuously wakes the empty-waitset waiter and
-  // satisfies the predicate; the single-wakeup budget must go to the
-  // satisfied waiter.
-  // mo: release — [harness] publish `go` before the wake-triggering commit.
-  go.store(true, std::memory_order_release);
-  Atomically(rt.sys(), [&](Tx& tx) { tx.Store(cell, std::uint64_t{1}); });
-  bool ok = false;
-  // mo: acquire — [harness] observe worker-published state.
-  for (int i = 0; i < 2000 && !(ok = pred_done.load(std::memory_order_acquire)); ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_TRUE(ok)
-      << "the vacuous wake absorbed the single wakeup; the satisfied waiter "
-         "was never checked";
-  if (!ok) {
-    // Unstick the starved waiter so the test tears down.
-    Atomically(rt.sys(), [&](Tx& tx) { tx.Store(cell, std::uint64_t{2}); });
-  }
-  pred_waiter.join();
-  empty_waiter.join();
-  EXPECT_TRUE(rt.sys().wake_index().Empty());
-}
-
 // --- batched wake transactions (TmConfig::wake_batch_size) ---
 
 // The batched wake path must be invisible to correctness: claims are the same
@@ -813,21 +679,14 @@ TEST(WakeSingleEmptyWaitsetTest, VacuousWakeDoesNotStealTheSingleWakeup) {
 // commit. These suites force multi-candidate batches and batch boundaries and
 // assert no wakeup is lost and none is delivered twice.
 
-using BackendWakeSingle = std::tuple<Backend, bool>;
-
-class WakeBatchingTest : public ::testing::TestWithParam<BackendWakeSingle> {
+class WakeBatchingTest : public ::testing::TestWithParam<Backend> {
  protected:
-  Backend backend() const { return std::get<0>(GetParam()); }
-  bool wake_single() const { return std::get<1>(GetParam()); }
   TmConfig Config(int batch, bool targeted = true) const {
-    TmConfig cfg = ConfigFor(backend(), targeted);
+    TmConfig cfg = ConfigFor(GetParam(), targeted);
     cfg.wake_batch_size = batch;
-    cfg.wake_single = wake_single();
     // These suites exercise the batched wake-transaction path specifically;
-    // the CAS fast path would claim most candidates before any batch forms,
-    // and adaptive sizing would perturb the exact batch-count accounting.
+    // the CAS fast path would claim most candidates before any batch forms.
     cfg.cas_claim_fast_path = false;
-    cfg.adaptive_wake_batch = false;
     return cfg;
   }
 };
@@ -937,10 +796,7 @@ TEST_P(WakeBatchingTest, StressChurnMidBatchLosesNothing) {
 // K = 10). Each waiter then re-parks waiting for the next value. If any claim
 // had been posted twice (e.g. a batch abort replaying its posts), the stale
 // token would satisfy that waiter's second sleep instantly, it would re-check
-// its still-unsatisfied predicate, and kFalseWakeups would tick. With
-// wake_single the budget stops at one waiter per commit instead, so the
-// writer keeps committing until everyone advanced — double-posts would still
-// surface as false wakeups.
+// its still-unsatisfied predicate, and kFalseWakeups would tick.
 TEST_P(WakeBatchingTest, MultiClaimBatchesNeverDoublePost) {
   constexpr int kWaiters = 10;
   Runtime rt(Config(/*batch=*/4));
@@ -961,15 +817,10 @@ TEST_P(WakeBatchingTest, MultiClaimBatchesNeverDoublePost) {
     });
   }
   AwaitCounter(rt, Counter::kSleeps, kWaiters);
-  // Round 1: one value change satisfies all K. Under wake_single only one
-  // waiter wakes per commit, so repeat silent-value commits until all K moved
-  // on (each re-commit re-offers the remaining sleepers).
+  // Round 1: one value change satisfies all K.
   Atomically(rt.sys(), [&](Tx& tx) { tx.Store(cell.v, std::uint64_t{1}); });
   // mo: acquire — [harness] observe worker-published state.
   for (int spins = 0; round_done.load(std::memory_order_acquire) < kWaiters && spins < 20000; ++spins) {
-    if (wake_single()) {
-      Atomically(rt.sys(), [&](Tx& tx) { tx.Store(cell.v, std::uint64_t{1}); });
-    }
     std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
   // mo: acquire — [harness] observe worker-published state.
@@ -984,9 +835,6 @@ TEST_P(WakeBatchingTest, MultiClaimBatchesNeverDoublePost) {
   // mo: acquire — [harness] observe worker-published state.
   for (int spins = 0; round_done.load(std::memory_order_acquire) < 2 * kWaiters && spins < 20000;
        ++spins) {
-    if (wake_single()) {
-      Atomically(rt.sys(), [&](Tx& tx) { tx.Store(cell.v, std::uint64_t{2}); });
-    }
     std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
   // mo: acquire — [harness] observe worker-published state.
@@ -999,15 +847,12 @@ TEST_P(WakeBatchingTest, MultiClaimBatchesNeverDoublePost) {
   EXPECT_TRUE(rt.sys().wake_index().Empty());
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllBackendsByWakeSingle, WakeBatchingTest,
-    ::testing::Combine(::testing::Values(Backend::kEagerStm, Backend::kLazyStm,
-                                         Backend::kSimHtm),
-                       ::testing::Bool()),
-    [](const ::testing::TestParamInfo<BackendWakeSingle>& info) {
-      return BackendTestName(std::get<0>(info.param)) +
-             (std::get<1>(info.param) ? "_WakeSingle" : "_WakeAll");
-    });
+INSTANTIATE_TEST_SUITE_P(AllBackends, WakeBatchingTest,
+                         ::testing::Values(Backend::kEagerStm, Backend::kLazyStm,
+                                           Backend::kSimHtm),
+                         [](const ::testing::TestParamInfo<Backend>& info) {
+                           return BackendTestName(info.param);
+                         });
 
 // Batching's accounting: with targeting off, a commit's candidate set is all
 // N parked waiters, so batch size B must cut the internal wake transactions
@@ -1020,9 +865,8 @@ TEST(WakeBatchCountersTest, BatchesAreCeilCandidatesOverBatchSize) {
     cfg.wake_batch_size = batch;
     // Exact ceil(N/B) accounting only holds on the pure batched path: the CAS
     // fast path resolves unchanged-predicate candidates without any wake
-    // transaction, and adaptive sizing may shrink B under abort pressure.
+    // transaction.
     cfg.cas_claim_fast_path = false;
-    cfg.adaptive_wake_batch = false;
     Runtime rt(cfg);
     auto cells = std::make_unique<PaddedCell[]>(kWaiters);
     std::vector<std::thread> waiters;
@@ -1060,52 +904,17 @@ TEST(WakeBatchCountersTest, BatchesAreCeilCandidatesOverBatchSize) {
   }
 }
 
-// wake_single must stop at the first non-vacuous satisfied waiter *across*
-// batch boundaries too: with 10 satisfied candidates and batch size 2, one
-// commit may post exactly one wakeup.
-TEST(WakeBatchCountersTest, WakeSingleStopsAcrossBatches) {
-  constexpr int kWaiters = 10;
-  TmConfig cfg = ConfigFor(Backend::kEagerStm);
-  cfg.wake_single = true;
-  cfg.wake_batch_size = 2;
-  // Cross-batch stop behavior is only observable on the batched path.
-  cfg.cas_claim_fast_path = false;
-  Runtime rt(cfg);
-  PaddedCell cell;
-  std::atomic<int> woken{0};
-  std::vector<std::thread> waiters;
-  for (int t = 0; t < kWaiters; ++t) {
-    waiters.emplace_back([&] {
-      Atomically(rt.sys(), [&](Tx& tx) {
-        if (tx.Load(cell.v) == 0) {
-          tx.Retry();
-        }
-      });
-      // mo: acq_rel — [harness] cross-thread counter/flag RMW.
-      woken.fetch_add(1, std::memory_order_acq_rel);
-    });
+// A batch size below 1 is a configuration error, not a request for
+// Algorithm 4's per-candidate transactions (that is wake_batch_size = 1):
+// the domain refuses to build.
+TEST(WakeBatchDeathTest, NonPositiveBatchSizeFailsLoudly) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (int batch : {0, -1}) {
+    TmConfig cfg = ConfigFor(Backend::kEagerStm);
+    cfg.wake_batch_size = batch;
+    EXPECT_DEATH(Runtime rt(cfg), "wake_batch_size must be at least 1")
+        << "batch=" << batch;
   }
-  AwaitCounter(rt, Counter::kSleeps, kWaiters);
-  rt.ResetStats();
-  Atomically(rt.sys(), [&](Tx& tx) { tx.Store(cell.v, std::uint64_t{1}); });
-  // mo: acquire — [harness] observe worker-published state.
-  while (woken.load(std::memory_order_acquire) < 1) {
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_EQ(rt.AggregateStats().Get(Counter::kWakeups), 1u)
-      << "wake_single leaked extra wakeups across batch boundaries";
-  // The woken waiter committed; its own post-commit wake pass (and ours)
-  // releases the rest eventually — drive it with further commits.
-  // mo: acquire — [harness] observe worker-published state.
-  while (woken.load(std::memory_order_acquire) < kWaiters) {
-    Atomically(rt.sys(), [&](Tx& tx) { tx.Store(cell.v, std::uint64_t{1}); });
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
-  for (auto& t : waiters) {
-    t.join();
-  }
-  EXPECT_TRUE(rt.sys().wake_index().Empty());
 }
 
 // --- waitset pruning ---

@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Happens-before edge analyzer and seq_cst budget for the tcsync tree.
+"""Happens-before edge analyzer, seq_cst budget and atomics discipline for
+the tcsync tree.
 
-Grows tools/lint_tm_discipline.py's per-site annotation check into a
-cross-file static analysis over the `// mo:` annotation grammar (shared
-parsing core: tools/tm_lint_lib.py). Run:
+A cross-file static analysis over the `// mo:` annotation grammar (parsing
+core: tools/tm_lint_lib.py), plus two per-file layering rules. Run from the
+repository root, so paths under src/ read as `src/...`:
 
-    tools/tm_analyze.py src bench examples tests --report tm_analyze_report.json
+    tools/tm_analyze.py src bench examples tests perfbench --report tm_analyze_report.json
 
 What it verifies:
 
@@ -34,10 +35,24 @@ What it verifies:
    operator forms (=, ++, op=) on std::atomic variables default to seq_cst
    without ever saying so; both are findings everywhere the analyzer runs.
 
-4. Per-site discipline (inherited from the lint): every std::memory_order_*
-   argument carries a `// mo:` annotation, and the annotation's claimed order
-   matches the order the code actually uses (no tag ends up attached to a
-   weaker ordering than its annotation argues).
+4. Per-site discipline: every std::memory_order_* argument carries a
+   `// mo:` annotation, and the annotation's claimed order matches the order
+   the code actually uses (no tag ends up attached to a weaker ordering than
+   its annotation argues).
+
+5. atomics-allowlist: under src/, raw atomic primitives (`std::atomic`,
+   `std::atomic_ref`, `std::atomic_thread_fence`, `<atomic>` includes) are
+   allowed only in src/tm/, src/common/, src/condsync/ and src/obs/.
+   Everything else in the library uses the TVar/Atomically API (or a sync/
+   adapter built on it), so the memory-order reasoning stays in those
+   layers. Tests, benches and examples may use raw atomics for harness
+   coordination; rules 1-4 still police them.
+
+6. no-dcheck-in-hot-loop: in files tagged with a `lint:hot-path` marker
+   comment, TCS_DCHECK must not appear inside a loop body. A Debug-only
+   check in a per-access loop distorts Debug-build timing, and disabled in
+   Release it hides a real invariant; use TCS_CHECK outside the loop or
+   restructure.
 
 Exit status: 0 if clean, 1 if any finding. Findings print as
 path:line: [rule] message. The --report JSON is written either way.
@@ -45,6 +60,7 @@ path:line: [rule] message. The --report JSON is written either way.
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -53,6 +69,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import tm_lint_lib as lib
 
 DEFAULT_GLOSSARY = "src/condsync/wake_index.h"
+
+ATOMIC_ALLOWLIST = ("src/tm/", "src/common/", "src/condsync/", "src/obs/")
+
+HOT_PATH_TAG_RE = re.compile(r"lint:hot-path")
+DCHECK_RE = re.compile(r"\bTCS_DCHECK(?:_MSG)?\s*\(")
+LOOP_HEADER_RE = re.compile(r"(?:^|[^\w])(?:for|while)\s*\(|(?:^|[^\w])do\s*\{")
 
 RELEASE_SIDE = {"release", "acq_rel", "seq_cst"}
 ACQUIRE_SIDE = {"acquire", "acq_rel", "seq_cst", "consume"}
@@ -110,9 +132,44 @@ def load_glossary(analysis, glossary_path):
     return True
 
 
+def check_atomics_allowlist(analysis, rel, code):
+    if not rel.startswith("src/") or rel.startswith(ATOMIC_ALLOWLIST):
+        return
+    for i, cl in enumerate(code):
+        m = lib.ATOMIC_RE.search(cl)
+        if m:
+            analysis.finding(
+                rel, i + 1, "atomics-allowlist",
+                f"raw atomic primitive `{m.group(0).strip()}` outside "
+                "src/tm|common|condsync|obs — use the TVar/Atomically API")
+
+
+def check_hot_loop_dchecks(analysis, rel, text, code):
+    if not HOT_PATH_TAG_RE.search(text):
+        return
+    depth_stack = []  # True for each open '{' that belongs to a loop
+    pending_loop = False
+    for i, cl in enumerate(code):
+        if LOOP_HEADER_RE.search(cl):
+            pending_loop = True
+        if DCHECK_RE.search(cl) and any(depth_stack):
+            analysis.finding(
+                rel, i + 1, "no-dcheck-in-hot-loop",
+                "TCS_DCHECK inside a loop in a hot-path-tagged file — hoist "
+                "it or promote to TCS_CHECK outside the loop")
+        for c in cl:
+            if c == "{":
+                depth_stack.append(pending_loop)
+                pending_loop = False
+            elif c == "}" and depth_stack:
+                depth_stack.pop()
+
+
 def analyze_file(analysis, path, rel):
-    _, lines = lib.read_lines(path)
+    text, lines = lib.read_lines(path)
     code = lib.strip_comments(lines)
+    check_atomics_allowlist(analysis, rel, code)
+    check_hot_loop_dchecks(analysis, rel, text, code)
 
     local = lib.parse_local_edges(lines)
     analysis.local_decls[rel] = local

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Self-test for tools/tm_analyze.py: seeded-violation fixtures, each of which
-must produce exactly the expected finding (and nothing else), plus a clean
-fixture that must produce none. Run from the repo root (ctest target
+must produce exactly the expected finding (and nothing else), plus clean
+fixtures that must produce none. Run from the repo root (ctest target
 `tools_test` does):
 
     python3 tools/tm_analyze_selftest.py
@@ -25,10 +25,8 @@ GLOSSARY = """\
 //         A store-buffering exclusion.
 """
 
-# Each fixture: (name, source text, expected set of finding rules).
-# The source is written as fixture.cc next to the glossary fixture.
-FIXTURES = [
-    ("clean", """\
+# A well-formed [pub] edge over a raw atomic.
+CLEAN = """\
 #include <atomic>
 std::atomic<int> x{0};
 void f() {
@@ -37,7 +35,14 @@ void f() {
   // mo: acquire — [pub] observe x.
   (void)x.load(std::memory_order_acquire);
 }
-""", set()),
+"""
+
+# Each fixture: (name, source text, expected set of finding rules[, path]).
+# The source is written at `path` (default fixture.cc) under a scratch
+# directory, and the analyzer runs there, so a path like src/sync/x.cc reads
+# as a library file.
+FIXTURES = [
+    ("clean", CLEAN, set()),
 
     ("orphan_tag", """\
 #include <atomic>
@@ -140,21 +145,40 @@ void f() {
   (void)x.load(std::memory_order_acquire);
 }
 """, {"dead-edge"}),  # the glossary [pub] has no endpoints in this fixture
+
+    ("atomic_outside_allowlist", CLEAN, {"atomics-allowlist"},
+     "src/sync/fixture.cc"),
+
+    ("atomic_in_tests_allowed", CLEAN, set(), "tests/fixture_test.cc"),
+
+    ("dcheck_in_hot_loop", """\
+// lint:hot-path — per-access fast path fixture.
+#define TCS_DCHECK(c) (void)(c)
+int sum(const int* v, int n) {
+  int s = 0;
+  for (int i = 0; i < n; ++i) {
+    TCS_DCHECK(v[i] >= 0);
+    s += v[i];
+  }
+  return s;
+}
+""", {"no-dcheck-in-hot-loop"}),
 ]
 
 
-def run_fixture(name, source, expected):
+def run_fixture(name, source, expected, path="fixture.cc"):
     with tempfile.TemporaryDirectory(prefix=f"tmsel_{name}_") as td:
         tdir = Path(td)
         glossary = tdir / "glossary.h"
         glossary.write_text(GLOSSARY, encoding="utf-8")
-        src = tdir / "fixture.cc"
+        src = tdir / path
+        src.parent.mkdir(parents=True, exist_ok=True)
         src.write_text(source, encoding="utf-8")
         report = tdir / "report.json"
         proc = subprocess.run(
-            [sys.executable, str(ANALYZER), str(src),
+            [sys.executable, str(ANALYZER), path,
              "--glossary", str(glossary), "--report", str(report)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, cwd=tdir)
         rep = json.loads(report.read_text(encoding="utf-8"))
         # The [dekker] glossary entry is unused by most fixtures; ignore its
         # dead-edge finding unless the fixture expects dead-edge findings.
@@ -179,10 +203,10 @@ def run_fixture(name, source, expected):
 
 def main():
     failures = 0
-    for name, source, expected in FIXTURES:
-        errors, rep = run_fixture(name, source, expected)
+    for fixture in FIXTURES:
+        errors, rep = run_fixture(*fixture)
         status = "ok" if not errors else "FAIL"
-        print(f"[{status}] {name}")
+        print(f"[{status}] {fixture[0]}")
         for e in errors:
             failures += 1
             print(f"       {e}")

@@ -1,13 +1,6 @@
-"""Shared parsing core for the tcsync atomics tooling.
+"""Parsing core of tools/tm_analyze.py, the tcsync atomics analyzer.
 
-Used by two front-ends:
-
-  tools/lint_tm_discipline.py   per-site discipline lint (annotation presence,
-                                atomics allowlist, DCHECK-in-hot-loop)
-  tools/tm_analyze.py           cross-file happens-before edge analyzer and
-                                seq_cst budget
-
-The shared ground truth is the `// mo:` annotation grammar:
+Its ground truth is the `// mo:` annotation grammar:
 
   // mo: <order>[ fence] — <free text naming the happens-before partner>
 
