@@ -7,7 +7,7 @@
 // waitset; with Await (and WaitPred) the waitset is a single entry, independent
 // of K.
 //
-// Flags: --reads=K --commits=N
+// Flags: --commits=N (K sweeps 0, 64, 512 and 4096).
 #include <cstdio>
 #include <thread>
 #include <vector>
@@ -80,7 +80,7 @@ Row RunOne(Mechanism mech, std::uint64_t extra_reads, std::uint64_t commits) {
 
 int main(int argc, char** argv) {
   using namespace tcs;
-  BenchFlags flags(argc, argv);
+  BenchFlags flags(argc, argv, {"commits"});
   std::uint64_t commits = flags.GetU64("commits", 5000);
   PrintHeader("Ablation: waitset pruning (Await vs Retry)",
               "writer-commit cost vs waiter read-set size; Await's waitset stays "

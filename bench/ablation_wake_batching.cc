@@ -28,7 +28,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -47,31 +46,6 @@
 // totality.
 
 namespace {
-
-std::vector<int> ParseIntList(int argc, char** argv, const std::string& key,
-                              std::vector<int> def) {
-  const std::string prefix = "--" + key + "=";
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind(prefix, 0) != 0) {
-      continue;
-    }
-    std::vector<int> out;
-    const char* p = arg.c_str() + prefix.size();
-    while (*p != '\0') {
-      char* end = nullptr;
-      long v = std::strtol(p, &end, 10);
-      if (end == p || v <= 0) {
-        std::fprintf(stderr, "bad --%s list: %s\n", key.c_str(), arg.c_str());
-        std::exit(2);
-      }
-      out.push_back(static_cast<int>(v));
-      p = (*end == ',') ? end + 1 : end;
-    }
-    return out;
-  }
-  return def;
-}
 
 struct PaddedCell {
   alignas(64) tcs::TVar<std::uint64_t> v;
@@ -142,12 +116,13 @@ bool VerifyNoLostWakeups(tcs::Backend backend, int batch, bool cas,
 
 int main(int argc, char** argv) {
   using namespace tcs;
-  BenchFlags flags(argc, argv);
+  BenchFlags flags(argc, argv,
+                   {"commits", "backend", "waiters", "batches",
+                    "verify_waiters", "cas"});
   std::uint64_t commits = flags.GetU64("commits", 600);
   Backend backend = static_cast<Backend>(flags.GetU64("backend", 0));
-  std::vector<int> waiter_counts = ParseIntList(argc, argv, "waiters", {256});
-  std::vector<int> batch_sizes =
-      ParseIntList(argc, argv, "batches", {1, 4, 8, 16});
+  std::vector<int> waiter_counts = flags.GetIntList("waiters", {256});
+  std::vector<int> batch_sizes = flags.GetIntList("batches", {1, 4, 8, 16});
   int verify_waiters =
       static_cast<int>(flags.GetU64("verify_waiters", 64));
   const bool sweep_cas = flags.GetU64("cas", 0) != 0;

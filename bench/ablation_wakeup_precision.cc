@@ -93,7 +93,7 @@ Row RunOne(Backend backend, Mechanism mech, std::uint64_t steps) {
 
 int main(int argc, char** argv) {
   using namespace tcs;
-  BenchFlags flags(argc, argv);
+  BenchFlags flags(argc, argv, {"steps"});
   std::uint64_t steps = flags.GetU64("steps", 2000);
   PrintHeader("Ablation: wakeup precision",
               "4 threshold waiters, 1 incrementing writer; WaitPred wakes "

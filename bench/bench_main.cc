@@ -2,13 +2,19 @@
 // apps, and the wake-index ablation over a thread × backend × mechanism
 // matrix, and emits one machine-readable BENCH_wakeup.json so performance is
 // comparable PR-to-PR (the CI bench-smoke job uploads it as an artifact).
+// The bounded and parsec scenarios reproduce Figures 2.3-2.5 and 2.6-2.8.
 //
-// Flags:
+// Flags (an unknown flag, malformed value or scenario exits 2 up front):
 //   --quick              CI-sized run: eager backend only, small op counts
+//   --paper              the figures' full grids: bounded buffer with up to 8
+//                        producers and consumers, 2^20 ops and 5 trials;
+//                        mini-PARSEC at scale 8 with 5 trials
 //   --out=PATH           output file (default BENCH_wakeup.json)
 //   --scenario=NAME      all | wake_index | waiter_scale | bounded | parsec
 //                        (default all)
-//   --ops=N --trials=N --scale=N --max_threads=N --commits=N --many_commits=N
+//   --ops=N --trials=N --max_side=N      bounded-buffer grid
+//   --scale=N --trials=N --max_threads=N mini-PARSEC grid
+//   --commits=N --many_commits=N         wake-index scenarios
 //   --scale_waiters=N    waiter_scale point size (default 1e5, --quick 1e4)
 #include <cstdio>
 #include <string>
@@ -23,18 +29,6 @@
 
 namespace tcs {
 namespace {
-
-std::string FlagString(int argc, char** argv, const std::string& key,
-                       const std::string& def) {
-  std::string prefix = "--" + key + "=";
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind(prefix, 0) == 0) {
-      return arg.substr(prefix.size());
-    }
-  }
-  return def;
-}
 
 void EmitWakeTrialRow(JsonWriter& w, const WakeTrialResult& r) {
   w.BeginObject();
@@ -362,10 +356,23 @@ void EmitParsec(JsonWriter& w, const std::vector<Backend>& backends,
 }
 
 int Run(int argc, char** argv) {
-  BenchFlags flags(argc, argv);
+  // Every flag is read here, before any scenario runs.
+  BenchFlags flags(argc, argv,
+                   {"quick", "paper", "out", "scenario", "ops", "trials",
+                    "max_side", "scale", "max_threads", "commits",
+                    "many_commits", "scale_waiters"});
   const bool quick = flags.GetBool("quick", false);
-  const std::string out = FlagString(argc, argv, "out", "BENCH_wakeup.json");
-  const std::string scenario = FlagString(argc, argv, "scenario", "all");
+  const std::string out = flags.GetString("out", "BENCH_wakeup.json");
+  const std::string scenario = flags.GetString("scenario", "all");
+  if (scenario != "all" && scenario != "wake_index" &&
+      scenario != "waiter_scale" && scenario != "bounded" &&
+      scenario != "parsec") {
+    std::fprintf(stderr,
+                 "unknown scenario: %s (expected all, wake_index, "
+                 "waiter_scale, bounded or parsec)\n",
+                 scenario.c_str());
+    return 2;
+  }
 
   std::vector<Backend> backends =
       quick ? std::vector<Backend>{Backend::kEagerStm}
@@ -381,19 +388,23 @@ int Run(int argc, char** argv) {
       quick ? std::vector<int>{256} : std::vector<int>{256, 1024};
   std::uint64_t many_commits =
       flags.GetU64("many_commits", quick ? 300 : 600);
+  // 10^5 parked waiters per full-run point; CI (--quick) runs the 10^4 point.
+  const int scale_waiters = static_cast<int>(
+      flags.GetU64("scale_waiters", quick ? 10000 : 100000));
 
   BoundedGridOptions bounded;
-  bounded.ops = flags.GetU64("ops", quick ? 1 << 11 : 1 << 14);
-  bounded.trials = flags.GetU64("trials", quick ? 1 : 3);
-  bounded.max_side = static_cast<int>(flags.GetU64("max_side", quick ? 2 : 4));
+  bounded.ops = quick ? 1 << 11 : 1 << 14;
+  bounded.trials = quick ? 1 : 3;
+  bounded.max_side = quick ? 2 : 4;
+  bounded = ApplyFlags(bounded, flags);
 
-  ParsecGridOptions parsec;
-  parsec.scale = flags.GetU64("scale", quick ? 1 : 2);
-  parsec.trials = flags.GetU64("trials", quick ? 1 : 3);
-  parsec.max_threads =
-      static_cast<int>(flags.GetU64("max_threads", quick ? 4 : 8));
   // All eight apps run even in --quick: the CI artifact carries per-app
   // throughput for the whole suite (scale stays test-sized).
+  ParsecGridOptions parsec;
+  parsec.scale = quick ? 1 : 2;
+  parsec.trials = quick ? 1 : 3;
+  parsec.max_threads = quick ? 4 : 8;
+  parsec = ApplyParsecFlags(parsec, flags);
 
   JsonWriter w;
   w.BeginObject();
@@ -415,10 +426,6 @@ int Run(int argc, char** argv) {
     EmitCasClaimAblation(w, backends, commits);
   }
   if (scenario == "all" || scenario == "waiter_scale") {
-    // 10^5 parked waiters per full-run point; CI (--quick) runs the 10^4
-    // point.
-    const int scale_waiters = static_cast<int>(
-        flags.GetU64("scale_waiters", quick ? 10000 : 100000));
     EmitWaiterScale(w, backends, scale_waiters);
   }
   if (scenario == "all" || scenario == "bounded") {

@@ -1,6 +1,5 @@
 #include "bench/bounded_grid.h"
 
-#include <cstdio>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -63,6 +62,7 @@ BoundedGridOptions ApplyFlags(BoundedGridOptions opts, const BenchFlags& flags) 
     // Paper-scale run: 2^20 elements, 5 trials (§2.4.1).
     opts.ops = 1 << 20;
     opts.trials = 5;
+    opts.max_side = 8;
   }
   opts.ops = flags.GetU64("ops", opts.ops);
   opts.trials = flags.GetU64("trials", opts.trials);
@@ -94,27 +94,6 @@ std::vector<BoundedGridRow> CollectBoundedGrid(const BoundedGridOptions& opts) {
     }
   }
   return rows;
-}
-
-void RunBoundedGrid(const char* figure_name, const BoundedGridOptions& opts) {
-  PrintHeader(figure_name,
-              "bounded buffer: time in seconds per trial; rows = panel(p-c) x "
-              "buffer size x mechanism");
-  std::printf("# backend=%s ops=%llu trials=%llu\n", BackendName(opts.backend),
-              static_cast<unsigned long long>(opts.ops),
-              static_cast<unsigned long long>(opts.trials));
-  PrintColumns({"panel", "bufsize", "mechanism", "mean_s", "stddev_s"});
-
-  for (const BoundedGridRow& r : CollectBoundedGrid(opts)) {
-    char panel[16];
-    std::snprintf(panel, sizeof(panel), "p%d-c%d", r.producers, r.consumers);
-    char mean[32];
-    char dev[32];
-    std::snprintf(mean, sizeof(mean), "%.4f", r.mean_s);
-    std::snprintf(dev, sizeof(dev), "%.4f", r.stddev_s);
-    PrintColumns({panel, std::to_string(r.buffer_size), MechanismName(r.mech),
-                  mean, dev});
-  }
 }
 
 }  // namespace tcs

@@ -23,12 +23,11 @@ struct BoundedGridOptions {
   std::uint64_t ops = 1 << 14;
   std::uint64_t trials = 3;
   // Keep oversubscribed panels bounded on tiny machines: skip producer/consumer
-  // counts above this (override with --max_threads).
+  // counts above this (override with --max_side).
   int max_side = 8;
 };
 
-// One measured grid point; the JSON harness (bench_main) serializes these and
-// the figure binaries print them.
+// One measured grid point; bench_main serializes these.
 struct BoundedGridRow {
   int producers;
   int consumers;
@@ -41,10 +40,8 @@ struct BoundedGridRow {
 // Runs the full grid and returns one row per (panel, buffer size, mechanism).
 std::vector<BoundedGridRow> CollectBoundedGrid(const BoundedGridOptions& opts);
 
-// Runs the full grid and prints one row per (panel, buffer size, mechanism).
-void RunBoundedGrid(const char* figure_name, const BoundedGridOptions& opts);
-
-// Applies --ops/--trials/--max_side/--paper flags.
+// Applies --paper (the paper's full grid: producers and consumers up to 8,
+// 2^20 ops, 5 trials), then --ops/--trials/--max_side, so explicit flags win.
 BoundedGridOptions ApplyFlags(BoundedGridOptions opts, const BenchFlags& flags);
 
 }  // namespace tcs

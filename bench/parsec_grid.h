@@ -18,8 +18,6 @@ struct ParsecGridOptions {
   std::uint64_t scale = 4;
   std::uint64_t trials = 3;
   int max_threads = 8;
-  // Restrict to these apps when non-empty (bench_main --quick uses a subset).
-  std::vector<std::string> apps;
 };
 
 struct ParsecGridRow {
@@ -37,8 +35,8 @@ struct ParsecGridRow {
 // any mechanism disagrees with the run's reference checksum.
 std::vector<ParsecGridRow> CollectParsecGrid(const ParsecGridOptions& opts);
 
-void RunParsecGrid(const char* figure_name, const ParsecGridOptions& opts);
-
+// Applies --paper (scale 8, 5 trials, up to 8 threads), then
+// --scale/--trials/--max_threads, so explicit flags win.
 ParsecGridOptions ApplyParsecFlags(ParsecGridOptions opts, const BenchFlags& flags);
 
 }  // namespace tcs

@@ -440,17 +440,20 @@ void TmSystem::WakeWaiters(const std::vector<const Orec*>& write_orecs) {
   // candidate's wake-check cost and skew the precision counters.
   std::vector<int>& cands = d.wake_candidates;
   cands.clear();
-  // Sized to the registry's populated tid bound, not max_threads: a 64Ki-thread
-  // ceiling must not cost every committing writer an 8KB bitmap clear.
+  // Sized to the domain's registered-tid high-water mark, not max_threads: a
+  // 64Ki-thread ceiling must not cost every committing writer an 8KB bitmap
+  // clear. RegisterThread raises the mark before a thread's first
+  // transaction, so it covers every waiter registered when it is sampled.
   const std::size_t seen_words =
-      (static_cast<std::size_t>(waiters_->TidBound()) + 63) / 64;
+      (static_cast<std::size_t>(quiesce_.bound()) + 63) / 64;
   d.wake_seen_scratch.assign(seen_words, 0);
   auto collect = [&](int tid) {
     if (tid != d.tid) {
       const std::size_t wi = static_cast<std::size_t>(tid) / 64;
       if (wi >= d.wake_seen_scratch.size()) {
-        // A segment published after the bound was sampled can emit tids past
-        // it mid-pass; grow (zero-filled) rather than drop the candidate.
+        // A thread that registered after the mark was sampled can become a
+        // waiter and be emitted mid-pass; grow (zero-filled) rather than drop
+        // the candidate.
         d.wake_seen_scratch.resize(wi + 1, 0);
       }
       std::uint64_t& word = d.wake_seen_scratch[wi];
@@ -460,7 +463,6 @@ void TmSystem::WakeWaiters(const std::vector<const Orec*>& write_orecs) {
         cands.push_back(tid);
       }
     }
-    return true;
   };
   if (cfg_.targeted_wakeup && !write_orecs.empty()) {
     // Targeted pass: only the shards this write set covers, plus the global
@@ -479,16 +481,14 @@ void TmSystem::WakeWaiters(const std::vector<const Orec*>& write_orecs) {
     d.wake_seg_scratch.resize(
         static_cast<std::size_t>(waiters_->summary_words()));
     waiters_->SnapshotSummary(d.wake_seg_scratch.data());
-    wake_index_->ForEachCandidateInSegments(d.wake_shard_scratch.data(),
-                                            d.wake_seg_scratch.data(),
-                                            waiters_->summary_words(), collect);
+    wake_index_->ForEachCandidateIn(d.wake_shard_scratch.data(), collect,
+                                    d.wake_seg_scratch.data());
   } else {
     // Global scan: targeting disabled, or the write-set snapshot was not taken
     // (no waiter was visible mid-commit; any waiter visible now either
     // registered after this commit serialized — and so re-checked its
     // predicate against our writes — or is covered by this conservative scan).
-    waiters_->ForEachRegistered(
-        [&](int tid, WaiterSlot&) { return collect(tid); });
+    waiters_->ForEachRegistered([&](int tid, WaiterSlot&) { collect(tid); });
   }
 
   // Phase 2: the lock-free claim fast path. The common case — a few disjoint

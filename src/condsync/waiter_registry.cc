@@ -1,81 +1,10 @@
 #include "src/condsync/waiter_registry.h"
 
-#include "src/common/assert.h"
-
 namespace tcs {
-
-WaiterRegistry::WaiterRegistry(int max_threads) : capacity_(max_threads) {
-  TCS_CHECK(max_threads > 0);
-  num_segments_ =
-      (max_threads + kCondSyncSegmentSize - 1) >> kCondSyncSegmentShift;
-  summary_words_ = (num_segments_ + 63) / 64;
-  segments_ = std::make_unique<std::atomic<Segment*>[]>(
-      static_cast<std::size_t>(num_segments_));
-  summary_ = std::make_unique<std::atomic<std::uint64_t>[]>(
-      static_cast<std::size_t>(summary_words_));
-  for (int i = 0; i < num_segments_; ++i) {
-    // mo: relaxed — single-threaded construction; the registry is published to
-    // worker threads by the owning runtime's thread-start edge.
-    segments_[i].store(nullptr, std::memory_order_relaxed);
-  }
-  for (int w = 0; w < summary_words_; ++w) {
-    // mo: relaxed — single-threaded construction, same as above.
-    summary_[w].store(0, std::memory_order_relaxed);
-  }
-}
-
-WaiterRegistry::~WaiterRegistry() {
-  for (int i = 0; i < num_segments_; ++i) {
-    // mo: relaxed — destruction is single-threaded; every waiter and writer
-    // is quiescent (the owning system joins/fences before teardown).
-    delete segments_[i].load(std::memory_order_relaxed);
-  }
-}
-
-WaiterRegistry::Segment& WaiterRegistry::EnsureSegment(int si) {
-  // mo: acquire — [seg-publish]: pairs with the release directory CAS below;
-  // a non-null pointer implies a fully initialized block.
-  Segment* seg = segments_[si].load(std::memory_order_acquire);
-  if (seg != nullptr) {
-    return *seg;
-  }
-  auto fresh = std::make_unique<Segment>();
-  for (int w = 0; w < kCondSyncSegmentWords; ++w) {
-    // mo: relaxed — pre-publication init; the publishing CAS below releases
-    // these stores to every acquire reader of the directory entry.
-    fresh->mask[w].store(0, std::memory_order_relaxed);
-  }
-  // Advance the tid bound BEFORE publishing: any thread that can emit this
-  // segment's tids from a scan saw the pointer via an acquire load, which
-  // also makes this bound update visible.
-  const int bound = (si + 1) * kCondSyncSegmentSize;
-  // mo: relaxed — [seg-publish] rider: the publishing CAS below orders this
-  // maximum against every reader that can observe the segment.
-  int cur = tid_bound_.load(std::memory_order_relaxed);
-  while (cur < bound &&
-         // mo: relaxed — [seg-publish] rider, same argument as the load.
-         !tid_bound_.compare_exchange_weak(cur, bound,
-                                           std::memory_order_relaxed)) {
-  }
-  Segment* expected = nullptr;
-  // mo: acq_rel — [seg-publish]: success releases the zero-initialized block
-  // (and the tid-bound advance) to every acquire directory load; failure
-  // acquires the winning racer's publication so the adopted block is fully
-  // visible.
-  if (segments_[si].compare_exchange_strong(expected, fresh.get(),
-                                            std::memory_order_acq_rel)) {
-    Segment* published = fresh.release();
-    TCS_PROTO(if (checker_ != nullptr) checker_->OnSegmentPublished(
-                  ProtocolChecker::SegmentKind::kWaiterRegistry, si));
-    return *published;
-  }
-  // Lost the publication race: drop our block, adopt the winner's.
-  return *expected;
-}
 
 void WaiterRegistry::RepairSummary(int si) {
   const std::uint64_t segbit = std::uint64_t{1} << (si % 64);
-  Segment* seg = SegmentOf(si);
+  Segment* seg = segments_.Get(si);
   SpinLockGuard g(repair_lock_);
   // mo: relaxed — [wake-publish] rider: seqlock enter (odd). Readers never
   // act on this value alone; one that observes the transient clear below
@@ -92,7 +21,7 @@ void WaiterRegistry::RepairSummary(int si) {
   // interleaving leaves the bit set once both complete.
   summary_[si / 64].fetch_and(~segbit, std::memory_order_acq_rel);
   bool occupied = false;
-  for (int w = 0; w < kCondSyncSegmentWords; ++w) {
+  for (int w = 0; w < kSegmentWords; ++w) {
     // mo: acquire — [wake-publish]: rescan of the segment presence mask,
     // ordered after the clear above (see its annotation for why a racing
     // registration's bit is visible here when it must be).
@@ -111,28 +40,6 @@ void WaiterRegistry::RepairSummary(int si) {
   // acquires this value, so such a reader sees the repaired state, not the
   // transient clear.
   repair_gen_.fetch_add(1, std::memory_order_release);
-}
-
-std::size_t WaiterRegistry::FootprintBytes() const {
-  std::size_t bytes =
-      static_cast<std::size_t>(num_segments_) * sizeof(segments_[0]) +
-      static_cast<std::size_t>(summary_words_) * sizeof(summary_[0]);
-  for (int si = 0; si < num_segments_; ++si) {
-    if (SegmentOf(si) != nullptr) {
-      bytes += sizeof(Segment);
-    }
-  }
-  return bytes;
-}
-
-int WaiterRegistry::AllocatedSegments() const {
-  int n = 0;
-  for (int si = 0; si < num_segments_; ++si) {
-    if (SegmentOf(si) != nullptr) {
-      ++n;
-    }
-  }
-  return n;
 }
 
 }  // namespace tcs

@@ -6,13 +6,11 @@
 // presents them — so the TM's conflict detection serializes a waiter's registration
 // against writer commits and closes the lost-wakeup window.
 //
-// Layout. Slots live in lazily allocated 256-thread segment control blocks
-// (geometry in segment.h) behind a directory of atomic pointers, published
-// with a release-CAS ([seg-publish]): capacity grows by appending segments,
-// and 10^5 registered threads cost ~400 segment blocks instead of one
-// max_threads-sized slab. Each segment owns a 4-word presence bitmap of its
-// own tids, and a top-level *summary* bitmap keeps one bit per possibly-
-// occupied segment.
+// Layout. Slots live in 256-thread segments of a SegmentDirectory
+// (src/common/segment_directory.h), so 10^5 registered threads cost ~400
+// segment blocks instead of one max_threads-sized slab. Each segment owns a
+// 4-word presence bitmap of its own tids, and a top-level *summary* bitmap
+// keeps one bit per possibly-occupied segment.
 //
 // A writer that committed must not pay a scan when nobody waits, and at
 // capacity-tier thread counts it must not even pay a bitmap walk proportional
@@ -46,8 +44,8 @@
 
 #include "src/common/cache_line.h"
 #include "src/common/parking_lot.h"
+#include "src/common/segment_directory.h"
 #include "src/common/spin_lock.h"
-#include "src/condsync/segment.h"
 #include "src/tm/protocol_checker.h"
 #include "src/tm/tx_desc.h"
 #include "src/tm/word.h"
@@ -97,11 +95,11 @@ struct alignas(kCacheLineBytes) WaiterSlot {
 
 class WaiterRegistry {
  public:
-  explicit WaiterRegistry(int max_threads);
-  ~WaiterRegistry();
-
-  WaiterRegistry(const WaiterRegistry&) = delete;
-  WaiterRegistry& operator=(const WaiterRegistry&) = delete;
+  explicit WaiterRegistry(int max_threads)
+      : segments_(max_threads),
+        summary_words_((segments_.size() + 63) / 64),
+        summary_(std::make_unique<std::atomic<std::uint64_t>[]>(
+            static_cast<std::size_t>(summary_words_))) {}
 
   // Optional dynamic protocol checker (TCS_PROTOCOL_CHECKS builds): reports
   // segment publication so add-once balance is machine-checked.
@@ -109,12 +107,10 @@ class WaiterRegistry {
 
   // The slot for `tid`, allocating its segment on first touch. Writers may
   // call this for candidate tids whose registry segment they have not seen
-  // allocated — EnsureSegment races are resolved by the [seg-publish] CAS.
+  // allocated; the directory resolves the race.
   WaiterSlot& slot(int tid) {
-    return EnsureSegment(tid >> kCondSyncSegmentShift)
-        .slots[tid & (kCondSyncSegmentSize - 1)];
+    return EnsureSegment(tid >> kSegmentShift).slots[tid & (kSegmentSize - 1)];
   }
-  int capacity() const { return capacity_; }
 
   // Conservative "anyone possibly waiting?" peek for the writer fast path:
   // a summary-word scan, independent of max_threads. A set bit may return
@@ -185,9 +181,9 @@ class WaiterRegistry {
   int summary_words() const { return summary_words_; }
 
   void MarkRegistered(int tid) {
-    const int si = tid >> kCondSyncSegmentShift;
+    const int si = tid >> kSegmentShift;
     Segment& seg = EnsureSegment(si);
-    const int rel = tid & (kCondSyncSegmentSize - 1);
+    const int rel = tid & (kSegmentSize - 1);
     // mo: release — [wake-publish]: the bit set precedes the registration
     // transaction's [clock-chain] RMW in program order; a writer whose commit
     // serializes after that registration picks it up through the clock's
@@ -204,12 +200,12 @@ class WaiterRegistry {
   }
 
   void UnmarkRegistered(int tid) {
-    const int si = tid >> kCondSyncSegmentShift;
-    Segment* seg = SegmentOf(si);
+    const int si = tid >> kSegmentShift;
+    Segment* seg = segments_.Get(si);
     if (seg == nullptr) {
       return;  // Never marked: nothing to clear.
     }
-    const int rel = tid & (kCondSyncSegmentSize - 1);
+    const int rel = tid & (kSegmentSize - 1);
     // mo: relaxed — [wake-publish] rider: per-word coherence keeps set/clear
     // of the same bit ordered; a writer that sees the cleared bit merely skips
     // a slot whose transactional deregistration already committed, and one
@@ -220,7 +216,7 @@ class WaiterRegistry {
     if ((prev & ~(std::uint64_t{1} << (rel % 64))) != 0) {
       return;  // Segment word still occupied; summary bit stays.
     }
-    for (int w = 0; w < kCondSyncSegmentWords; ++w) {
+    for (int w = 0; w < kSegmentWords; ++w) {
       // mo: relaxed — [wake-publish] rider: occupancy peek deciding whether
       // to attempt a summary repair; a stale nonzero word only keeps a
       // conservative summary bit, and a racing registration that makes a
@@ -236,11 +232,11 @@ class WaiterRegistry {
   // Introspection for tests and debugging: is this slot's presence bit set?
   // A timed wait that expires must leave its bit clear (no leaked entries).
   bool IsRegistered(int tid) const {
-    const Segment* seg = SegmentOf(tid >> kCondSyncSegmentShift);
+    const Segment* seg = segments_.Get(tid >> kSegmentShift);
     if (seg == nullptr) {
       return false;
     }
-    const int rel = tid & (kCondSyncSegmentSize - 1);
+    const int rel = tid & (kSegmentSize - 1);
     // mo: acquire — [wake-publish]: test assertions run after a join or a
     // committed transition they arranged themselves; acquire pairs with the
     // release Mark and per-word coherence covers the Unmark rider.
@@ -252,68 +248,44 @@ class WaiterRegistry {
   // every allocated segment's mask, not the conservative summary.
   int RegisteredCount() const {
     int n = 0;
-    for (int si = 0; si < num_segments_; ++si) {
-      const Segment* seg = SegmentOf(si);
-      if (seg == nullptr) {
-        continue;
-      }
-      for (int w = 0; w < kCondSyncSegmentWords; ++w) {
+    segments_.ForEach([&](int, Segment& seg) {
+      for (int w = 0; w < kSegmentWords; ++w) {
         // mo: acquire — [wake-publish]: same pairing as IsRegistered above.
-        n += __builtin_popcountll(
-            seg->mask[w].load(std::memory_order_acquire));
+        n += __builtin_popcountll(seg.mask[w].load(std::memory_order_acquire));
       }
-    }
+    });
     return n;
   }
 
-  // Invokes fn(tid, slot) for every possibly-registered slot, ascending tid;
-  // fn returns false to stop the scan early. Iterates
-  // allocated segments directly (segment masks, not the summary), so it never
-  // depends on summary-repair timing.
+  // Invokes fn(tid, slot) for every possibly-registered slot, ascending tid.
+  // Iterates allocated segments directly (segment masks, not the summary), so
+  // it never depends on summary-repair timing.
   template <typename Fn>
   void ForEachRegistered(Fn&& fn) {
-    for (int si = 0; si < num_segments_; ++si) {
-      // mo: acquire — [seg-publish]: pairs with the allocator's release
-      // directory CAS; a non-null pointer implies a fully initialized block.
-      Segment* seg = segments_[si].load(std::memory_order_acquire);
-      if (seg == nullptr) {
-        continue;
-      }
-      for (int w = 0; w < kCondSyncSegmentWords; ++w) {
+    segments_.ForEach([&](int si, Segment& seg) {
+      for (int w = 0; w < kSegmentWords; ++w) {
         // mo: acquire — [wake-publish]: the writer-side scan runs after the
         // commit's [clock-chain] RMW, whose release sequence carries every
         // registration's release MarkRegistered to this load.
-        std::uint64_t bits = seg->mask[w].load(std::memory_order_acquire);
+        std::uint64_t bits = seg.mask[w].load(std::memory_order_acquire);
         while (bits != 0) {
           int bit = __builtin_ctzll(bits);
           bits &= bits - 1;
-          int tid = si * kCondSyncSegmentSize + w * 64 + bit;
-          if (!fn(tid, seg->slots[w * 64 + bit])) {
-            return;
-          }
+          fn((si << kSegmentShift) + w * 64 + bit, seg.slots[w * 64 + bit]);
         }
       }
-    }
+    });
   }
 
-  // Exclusive upper bound on tids that can currently be emitted by any scan
-  // (= highest allocated segment's end). Lets callers size per-candidate
-  // scratch to the *populated* range instead of max_threads; a segment
-  // allocated after this call can only hold waiters that registered after
-  // the caller's commit, which the caller may size for lazily.
-  int TidBound() const {
-    // mo: acquire — [seg-publish] rider: the bound is advanced before the
-    // segment's publishing CAS, so any reader that can see a segment's tids
-    // (via an acquire directory load) also sees a bound covering them.
-    return tid_bound_.load(std::memory_order_acquire);
+  // Bytes currently committed to this registry: the directory, the summary
+  // and every allocated segment block. Feeds the memory-per-waiter metric.
+  std::size_t FootprintBytes() const {
+    return segments_.FootprintBytes(sizeof(Segment)) +
+           static_cast<std::size_t>(summary_words_) * sizeof(summary_[0]);
   }
-
-  // Bytes currently committed to this registry: the directory plus every
-  // allocated segment block. Feeds the memory-per-waiter metric.
-  std::size_t FootprintBytes() const;
 
   // Number of segments with an allocated control block.
-  int AllocatedSegments() const;
+  int AllocatedSegments() const { return segments_.Allocated(); }
 
  private:
   // One 256-thread segment control block: the segment's presence bitmap and
@@ -321,33 +293,28 @@ class WaiterRegistry {
   // mask words share the block's first line, which only Mark/Unmark and
   // writer scans touch.
   struct alignas(kCacheLineBytes) Segment {
-    std::atomic<std::uint64_t> mask[kCondSyncSegmentWords];
-    WaiterSlot slots[kCondSyncSegmentSize];
+    std::atomic<std::uint64_t> mask[kSegmentWords];
+    WaiterSlot slots[kSegmentSize];
   };
 
-  Segment& EnsureSegment(int si);
-  Segment* SegmentOf(int si) const {
-    // mo: acquire — [seg-publish]: pairs with the allocator's release
-    // directory CAS; a non-null pointer implies a fully initialized block.
-    return segments_[si].load(std::memory_order_acquire);
+  Segment& EnsureSegment(int si) {
+    return segments_.Ensure(si, [&] {
+      TCS_PROTO(if (checker_ != nullptr) checker_->OnSegmentPublished(
+                    ProtocolChecker::SegmentKind::kWaiterRegistry, si));
+    });
   }
   void RepairSummary(int si);
 
-  int capacity_;
-  int num_segments_;
-  int summary_words_;
-  // Directory of lazily allocated segments; entries are owned (deleted in the
-  // destructor) and published at most once via release-CAS.
-  std::unique_ptr<std::atomic<Segment*>[]> segments_;
+  SegmentDirectory<Segment> segments_;
+  const int summary_words_;
   // One bit per possibly-occupied segment; cleared only under the seqlock
   // repair below.
-  std::unique_ptr<std::atomic<std::uint64_t>[]> summary_;
+  const std::unique_ptr<std::atomic<std::uint64_t>[]> summary_;
   // Seqlock generation for summary repairs: odd while a repair's transient
   // clear may be visible. repair_lock_ serializes repairs so odd/even stays
   // meaningful under concurrent drains of different segments.
   mutable std::atomic<std::uint64_t> repair_gen_{0};
   SpinLock repair_lock_;
-  std::atomic<int> tid_bound_{0};
   ProtocolChecker* checker_ = nullptr;
 };
 

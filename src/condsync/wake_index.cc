@@ -17,159 +17,65 @@ int Log2(int v) {
 }  // namespace
 
 WakeIndex::WakeIndex(int max_threads, int num_shards)
-    : capacity_(max_threads),
-      num_segments_((max_threads + kCondSyncSegmentSize - 1) >>
-                    kCondSyncSegmentShift),
-      num_shards_(num_shards),
+    : num_shards_(num_shards),
       shards_log2_(Log2(num_shards)),
-      shard_words_((num_shards + 63) / 64) {
-  TCS_CHECK(max_threads > 0);
+      shard_words_((num_shards + 63) / 64),
+      segments_(max_threads) {
   TCS_CHECK_MSG(IsPowerOfTwo(num_shards) && num_shards <= kMaxShards,
                 "wake-index shard count must be a power of two in [1, 4096]");
-  segments_ = std::make_unique<std::atomic<IndexSegment*>[]>(
-      static_cast<std::size_t>(num_segments_));
-  for (int i = 0; i < num_segments_; ++i) {
-    // mo: relaxed — single-threaded construction; the index is published to
-    // worker threads by the owning runtime's thread-start edge.
-    segments_[i].store(nullptr, std::memory_order_relaxed);
-  }
-}
-
-WakeIndex::~WakeIndex() {
-  for (int i = 0; i < num_segments_; ++i) {
-    // mo: relaxed — destruction is single-threaded; every waiter and writer
-    // is quiescent (the owning system joins/fences before teardown).
-    delete segments_[i].load(std::memory_order_relaxed);
-  }
-}
-
-WakeIndex::IndexSegment& WakeIndex::EnsureSegment(int si) {
-  // mo: acquire — [seg-publish]: pairs with the release directory CAS below;
-  // a non-null pointer implies a fully initialized block.
-  IndexSegment* seg = segments_[si].load(std::memory_order_acquire);
-  if (seg != nullptr) {
-    return *seg;
-  }
-  auto fresh = std::make_unique<IndexSegment>();
-  const std::size_t slab_words =
-      static_cast<std::size_t>(num_shards_) * kCondSyncSegmentWords;
-  fresh->bits = std::make_unique<std::atomic<std::uint64_t>[]>(slab_words);
-  for (std::size_t i = 0; i < slab_words; ++i) {
-    // mo: relaxed — pre-publication init; the publishing CAS below releases
-    // these stores to every acquire reader of the directory entry.
-    fresh->bits[i].store(0, std::memory_order_relaxed);
-  }
-  for (int w = 0; w < kCondSyncSegmentWords; ++w) {
-    // mo: relaxed — pre-publication init, same as the slab zeroing above.
-    fresh->global[w].store(0, std::memory_order_relaxed);
-  }
-  const std::size_t bk_words =
-      static_cast<std::size_t>(kCondSyncSegmentSize) * shard_words_;
-  // make_unique<T[]> value-initializes the plain bookkeeping arrays to zero.
-  fresh->per_tid_shards = std::make_unique<std::uint64_t[]>(bk_words);
-  for (int i = 0; i < kCondSyncSegmentSize; ++i) {
-    fresh->per_tid_global[i] = 0;
-  }
-  IndexSegment* expected = nullptr;
-  // mo: acq_rel — [seg-publish]: success releases the zero-initialized block
-  // to every acquire directory load; failure acquires the winning racer's
-  // publication so the adopted block is fully visible.
-  if (segments_[si].compare_exchange_strong(expected, fresh.get(),
-                                            std::memory_order_acq_rel)) {
-    IndexSegment* published = fresh.release();
-    TCS_PROTO(if (checker_ != nullptr) checker_->OnSegmentPublished(
-                  ProtocolChecker::SegmentKind::kWakeIndex, si));
-    return *published;
-  }
-  // Lost the publication race: drop our block, adopt the winner's.
-  return *expected;
 }
 
 int WakeIndex::ShardPopulation(int s) const {
   int n = 0;
-  for (int si = 0; si < num_segments_; ++si) {
-    IndexSegment* seg = SegmentOf(si);
-    if (seg == nullptr) {
-      continue;
-    }
-    for (int w = 0; w < kCondSyncSegmentWords; ++w) {
+  segments_.ForEach([&](int, IndexSegment& seg) {
+    for (int w = 0; w < kSegmentWords; ++w) {
       // mo: acquire — [wake-publish]: introspection pairs with the release
       // inserts; callers that need a fresh count sequence their own barrier
       // (join/commit) before asking.
       n += __builtin_popcountll(
-          ShardWord(*seg, s, w).load(std::memory_order_acquire));
+          ShardWord(seg, s, w).load(std::memory_order_acquire));
     }
-  }
+  });
   return n;
 }
 
 int WakeIndex::GlobalPopulation() const {
   int n = 0;
-  for (int si = 0; si < num_segments_; ++si) {
-    IndexSegment* seg = SegmentOf(si);
-    if (seg == nullptr) {
-      continue;
-    }
-    for (int w = 0; w < kCondSyncSegmentWords; ++w) {
+  segments_.ForEach([&](int, IndexSegment& seg) {
+    for (int w = 0; w < kSegmentWords; ++w) {
       // mo: acquire — [wake-publish]: same pairing as the shard scan above.
-      n += __builtin_popcountll(
-          seg->global[w].load(std::memory_order_acquire));
+      n += __builtin_popcountll(seg.global[w].load(std::memory_order_acquire));
     }
-  }
+  });
   return n;
 }
 
 bool WakeIndex::Empty() const {
-  for (int si = 0; si < num_segments_; ++si) {
-    IndexSegment* seg = SegmentOf(si);
-    if (seg == nullptr) {
-      continue;
-    }
-    for (int w = 0; w < kCondSyncSegmentWords; ++w) {
+  bool empty = true;
+  const std::size_t slab_words =
+      static_cast<std::size_t>(num_shards_) * kSegmentWords;
+  segments_.ForEach([&](int, IndexSegment& seg) {
+    for (int w = 0; w < kSegmentWords; ++w) {
       // mo: acquire — [wake-publish]: the leak check runs after every waiter
       // thread has joined (thread join orders the final Remove before this
       // load), so acquire is already stronger than required.
-      if (seg->global[w].load(std::memory_order_acquire) != 0) {
-        return false;
-      }
+      empty = empty && seg.global[w].load(std::memory_order_acquire) == 0;
     }
-    const std::size_t slab_words =
-        static_cast<std::size_t>(num_shards_) * kCondSyncSegmentWords;
     for (std::size_t i = 0; i < slab_words; ++i) {
       // mo: acquire — [wake-publish]: same argument as the global scan above.
-      if (seg->bits[i].load(std::memory_order_acquire) != 0) {
-        return false;
-      }
+      empty = empty && seg.bits[i].load(std::memory_order_acquire) == 0;
     }
-  }
-  return true;
+  });
+  return empty;
 }
 
 std::size_t WakeIndex::FootprintBytes() const {
-  std::size_t bytes =
-      static_cast<std::size_t>(num_segments_) * sizeof(segments_[0]);
-  const std::size_t per_segment =
+  return segments_.FootprintBytes(
       sizeof(IndexSegment) +
-      static_cast<std::size_t>(num_shards_) * kCondSyncSegmentWords *
+      static_cast<std::size_t>(num_shards_) * kSegmentWords *
           sizeof(std::uint64_t) +
-      static_cast<std::size_t>(kCondSyncSegmentSize) * shard_words_ *
-          sizeof(std::uint64_t);
-  for (int si = 0; si < num_segments_; ++si) {
-    if (SegmentOf(si) != nullptr) {
-      bytes += per_segment;
-    }
-  }
-  return bytes;
-}
-
-int WakeIndex::AllocatedSegments() const {
-  int n = 0;
-  for (int si = 0; si < num_segments_; ++si) {
-    if (SegmentOf(si) != nullptr) {
-      ++n;
-    }
-  }
-  return n;
+      static_cast<std::size_t>(kSegmentSize) * shard_words_ *
+          sizeof(std::uint64_t));
 }
 
 }  // namespace tcs

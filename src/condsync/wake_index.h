@@ -12,16 +12,13 @@
 // covering a waitset address; a committing writer unions the shards of its
 // commit-time write-set orecs and wake-checks only those candidates.
 //
-// Segmented layout (capacity tier). The tid dimension is segmented: instead of
-// one flat bitmap slab sized to max_threads, the index is a directory of
-// lazily allocated 256-tid segment control blocks (geometry in segment.h).
-// Each segment owns its own shard→tid bitmap slab, global-fallback words, and
-// owner-side bookkeeping; publication of a fresh segment is a release-CAS on
-// the directory entry (the [seg-publish] edge). Capacity grows by appending
-// segments — 10^6 waiters cost ~4k directory words up front, with bitmap
-// slabs materializing only for tid ranges that actually wait. Writer scans
-// iterate allocated segments; TmSystem::WakeWaiters narrows that further to
-// segments whose WaiterRegistry summary bit is set (ForEachCandidateInSegments)
+// Segmented layout (capacity tier). The tid dimension lives in 256-tid
+// segments of a SegmentDirectory (src/common/segment_directory.h); each
+// segment owns its own shard→tid bitmap slab, global-fallback words, and
+// owner-side bookkeeping, so bitmap slabs materialize only for tid ranges
+// that actually wait. Writer scans iterate allocated segments;
+// TmSystem::WakeWaiters narrows that further to segments whose
+// WaiterRegistry summary bit is set (ForEachCandidateIn's segment summary),
 // so a full-capacity index costs a writer popcount(segment mask) segment
 // visits, not a 4096-shard flat walk.
 //
@@ -67,6 +64,7 @@
 #ifndef TCS_CONDSYNC_WAKE_INDEX_H_
 #define TCS_CONDSYNC_WAKE_INDEX_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -74,7 +72,7 @@
 
 #include "src/common/assert.h"
 #include "src/common/cache_line.h"
-#include "src/condsync/segment.h"
+#include "src/common/segment_directory.h"
 #include "src/tm/protocol_checker.h"
 
 namespace tcs {
@@ -241,18 +239,20 @@ struct Orec;
 //                  its release/acquire accesses add no seq_cst.
 //
 //  [seg-publish]   (minimal: release/acquire)
-//                  Lazy publication of 256-tid segment control blocks
-//                  (WaiterRegistry, WakeIndex, QuiesceTable): the allocating
-//                  thread zero-initializes the block, then installs its
-//                  pointer with a release (acq_rel) directory CAS; every
-//                  reader loads directory entries with acquire. The pairing
-//                  guarantees a reader that sees the pointer sees a fully
-//                  initialized block. A null entry is itself information —
-//                  "no tid of this range ever registered" — so scans skip
-//                  null segments without ordering. Losing CAS racers delete
-//                  their unpublished block and adopt the winner's; the
-//                  protocol checker's OnSegmentPublished hook asserts each
-//                  index is published at most once per structure.
+//                  Lazy publication of 256-tid segment blocks, implemented
+//                  once in SegmentDirectory (src/common/segment_directory.h)
+//                  for the WaiterRegistry, WakeIndex and QuiesceTable: Ensure
+//                  builds the block, then installs its pointer with a
+//                  release (acq_rel) directory CAS; Get and ForEach load
+//                  entries with acquire. The pairing guarantees a reader
+//                  that sees the pointer sees a fully initialized block. A
+//                  null entry is itself information — "no tid of this range
+//                  ever registered" — so scans skip null segments without
+//                  ordering. Losing CAS racers delete their unpublished block
+//                  and adopt the winner's; the registry's and the index's
+//                  on_publish hooks report to the protocol checker's
+//                  OnSegmentPublished, which asserts each index is published
+//                  at most once per structure.
 //                  QuiesceTable's walks go one step further and stop at the
 //                  registered-tid bound, not at the last published segment:
 //                  the same "sequenced before the owner's first seq_cst
@@ -306,10 +306,6 @@ class WakeIndex {
 
   // `num_shards` must be a power of two in [1, kMaxShards].
   WakeIndex(int max_threads, int num_shards);
-  ~WakeIndex();
-
-  WakeIndex(const WakeIndex&) = delete;
-  WakeIndex& operator=(const WakeIndex&) = delete;
 
   int shard_count() const { return num_shards_; }
   // Words per shard-set bitmap (= ceil(num_shards / 64)).
@@ -346,39 +342,28 @@ class WakeIndex {
       AddGlobal(tid);
       return;
     }
-    IndexSegment& seg = EnsureSegment(tid >> kCondSyncSegmentShift);
-    const int rel = tid & (kCondSyncSegmentSize - 1);
+    IndexSegment& seg = EnsureSegment(tid >> kSegmentShift);
+    const int rel = tid & (kSegmentSize - 1);
     std::uint64_t* set = PerTidShards(seg, rel);
-    for (int sw = 0; sw < shard_words_; ++sw) {
-      set[sw] = 0;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      int s = ShardOf(orecs[i]);
-      set[s >> 6] |= std::uint64_t{1} << (s & 63);
-    }
+    BuildShardSet(orecs, n, set);
     const std::uint64_t bit = std::uint64_t{1} << (rel % 64);
     const int w = rel / 64;
-    for (int sw = 0; sw < shard_words_; ++sw) {
-      std::uint64_t word = set[sw];
-      while (word != 0) {
-        int s = sw * 64 + __builtin_ctzll(word);
-        word &= word - 1;
-        // mo: release — [wake-publish]: the insert precedes the registration
-        // transaction's [clock-chain] RMW in program order; a writer whose
-        // commit RMW serializes later therefore sees it (release-sequence
-        // argument in the glossary). The release also pairs directly with
-        // the scan's acquire when the scan reads-from this very insert.
-        ShardWord(seg, s, w).fetch_or(bit, std::memory_order_release);
-      }
-    }
+    ForEachShardIn(set, [&](int s) {
+      // mo: release — [wake-publish]: the insert precedes the registration
+      // transaction's [clock-chain] RMW in program order; a writer whose
+      // commit RMW serializes later therefore sees it (release-sequence
+      // argument in the glossary). The release also pairs directly with
+      // the scan's acquire when the scan reads-from this very insert.
+      ShardWord(seg, s, w).fetch_or(bit, std::memory_order_release);
+    });
     TCS_PROTO(if (checker_ != nullptr) checker_->OnWakeRegister(tid, true));
   }
 
   // Registers tid on the global fallback list (predicate with no address list:
   // every committing writer must consider it).
   void AddGlobal(int tid) {
-    IndexSegment& seg = EnsureSegment(tid >> kCondSyncSegmentShift);
-    const int rel = tid & (kCondSyncSegmentSize - 1);
+    IndexSegment& seg = EnsureSegment(tid >> kSegmentShift);
+    const int rel = tid & (kSegmentSize - 1);
     seg.per_tid_global[rel] = 1;
     // mo: release — [wake-publish]: same release-sequence argument as the
     // shard insert in AddIndexed; the global list is scanned by every writer.
@@ -393,27 +378,22 @@ class WakeIndex {
   // path alike — a timed wait that expires leaves nothing behind.
   void Remove(int tid) {
     TCS_PROTO(if (checker_ != nullptr) checker_->OnWakeDeregister(tid));
-    IndexSegment* seg = SegmentOf(tid >> kCondSyncSegmentShift);
+    IndexSegment* seg = segments_.Get(tid >> kSegmentShift);
     if (seg == nullptr) {
       return;  // Never registered: nothing to clear.
     }
-    const int rel = tid & (kCondSyncSegmentSize - 1);
+    const int rel = tid & (kSegmentSize - 1);
     std::uint64_t* set = PerTidShards(*seg, rel);
     const std::uint64_t clear = ~(std::uint64_t{1} << (rel % 64));
     const int w = rel / 64;
-    for (int sw = 0; sw < shard_words_; ++sw) {
-      std::uint64_t word = set[sw];
-      set[sw] = 0;
-      while (word != 0) {
-        int s = sw * 64 + __builtin_ctzll(word);
-        word &= word - 1;
-        // mo: relaxed — [wake-publish] rider: per-word coherence already
-        // keeps insert/clear RMWs on one bitmap word totally ordered, and a
-        // scan that reads the pre-clear value only produces a spurious
-        // candidate, which the transactional wake check rejects (asleep==0).
-        ShardWord(*seg, s, w).fetch_and(clear, std::memory_order_relaxed);
-      }
-    }
+    ForEachShardIn(set, [&](int s) {
+      // mo: relaxed — [wake-publish] rider: per-word coherence already
+      // keeps insert/clear RMWs on one bitmap word totally ordered, and a
+      // scan that reads the pre-clear value only produces a spurious
+      // candidate, which the transactional wake check rejects (asleep==0).
+      ShardWord(*seg, s, w).fetch_and(clear, std::memory_order_relaxed);
+    });
+    std::fill_n(set, shard_words_, 0);
     if (seg->per_tid_global[rel] != 0) {
       seg->per_tid_global[rel] = 0;
       // mo: relaxed — [wake-publish] rider: same spurious-candidate argument
@@ -440,78 +420,50 @@ class WakeIndex {
     }
   }
 
-  // Invokes fn(tid) once for every candidate of a prebuilt shard set — each
+  // Invokes fn(tid) for every candidate of a prebuilt shard set — each
   // waiter registered under a covered shard, then each global-fallback
-  // waiter. fn returns false to stop early. Zero allocation; cost is
-  // O(allocated segments × (1 + distinct shards touched)). Callers with a
-  // registry summary in hand should prefer ForEachCandidateInSegments, which
-  // walks only the populated segments.
+  // waiter, ascending tid within each pass. Zero allocation; cost is
+  // O(allocated segments × (1 + distinct shards touched)).
+  //
+  // A non-null `seg_summary` (one bit per segment: a
+  // WaiterRegistry::SnapshotSummary copy) restricts the walk to segments
+  // whose bit is set. Sound because a waiter's index insert and its registry
+  // MarkRegistered both precede its registration commit: any waiter a
+  // writer's commit serialized after has its summary bit set in a stable
+  // snapshot, so an unset bit — or a null index segment — proves no relevant
+  // waiter, never hides one.
   template <typename Fn>
-  void ForEachCandidateIn(const std::uint64_t* shard_set, Fn&& fn) {
-    ForEachCandidateInSegments(shard_set, nullptr, 0, std::forward<Fn>(fn));
-  }
-
-  // Masked variant: visits only segments whose bit is set in `seg_summary`
-  // (seg_summary_words words; a WaiterRegistry::SnapshotSummary copy). Sound
-  // because a waiter's index insert and its registry MarkRegistered both
-  // precede its registration commit: any waiter a writer's commit serialized
-  // after has its summary bit set in a stable snapshot, so an unset bit — or
-  // a null index segment — proves no relevant waiter, never hides one.
-  // Passing seg_summary == nullptr visits every allocated segment.
-  template <typename Fn>
-  void ForEachCandidateInSegments(const std::uint64_t* shard_set,
-                                  const std::uint64_t* seg_summary,
-                                  int seg_summary_words, Fn&& fn) {
-    // Pass 1: shard-indexed candidates, ascending tid.
-    for (int si = 0; si < num_segments_; ++si) {
-      if (seg_summary != nullptr && !SummaryHas(seg_summary, seg_summary_words,
-                                                si)) {
-        continue;
+  void ForEachCandidateIn(const std::uint64_t* shard_set, Fn&& fn,
+                          const std::uint64_t* seg_summary = nullptr) {
+    auto in_summary = [&](int si) {
+      return seg_summary == nullptr ||
+             (seg_summary[si >> 6] & (std::uint64_t{1} << (si & 63))) != 0;
+    };
+    // Pass 1: shard-indexed candidates.
+    segments_.ForEach([&](int si, IndexSegment& seg) {
+      if (!in_summary(si)) {
+        return;
       }
-      // mo: acquire — [seg-publish]: pairs with the allocator's release
-      // directory CAS; a non-null pointer implies a fully initialized block.
-      IndexSegment* seg = segments_[si].load(std::memory_order_acquire);
-      if (seg == nullptr) {
-        continue;
-      }
-      for (int w = 0; w < kCondSyncSegmentWords; ++w) {
+      for (int w = 0; w < kSegmentWords; ++w) {
         std::uint64_t cand = 0;
-        for (int sw = 0; sw < shard_words_; ++sw) {
-          std::uint64_t ss = shard_set[sw];
-          while (ss != 0) {
-            int s = sw * 64 + __builtin_ctzll(ss);
-            ss &= ss - 1;
-            // mo: acquire — [wake-publish]: the writer-side scan, ordered
-            // after its commit's [clock-chain] RMW; pairs with the waiter's
-            // release insert in AddIndexed.
-            cand |= ShardWord(*seg, s, w).load(std::memory_order_acquire);
-          }
-        }
-        while (cand != 0) {
-          int bit = __builtin_ctzll(cand);
-          cand &= cand - 1;
-          if (!fn(si * kCondSyncSegmentSize + w * 64 + bit)) {
-            return;
-          }
-        }
+        ForEachShardIn(shard_set, [&](int s) {
+          // mo: acquire — [wake-publish]: the writer-side scan, ordered
+          // after its commit's [clock-chain] RMW; pairs with the waiter's
+          // release insert in AddIndexed.
+          cand |= ShardWord(seg, s, w).load(std::memory_order_acquire);
+        });
+        EmitTids((si << kSegmentShift) + w * 64, cand, fn);
       }
-    }
-    // Pass 2: global-fallback candidates, ascending tid.
-    for (int si = 0; si < num_segments_; ++si) {
-      if (seg_summary != nullptr && !SummaryHas(seg_summary, seg_summary_words,
-                                                si)) {
-        continue;
+    });
+    // Pass 2: global-fallback candidates.
+    segments_.ForEach([&](int si, IndexSegment& seg) {
+      if (!in_summary(si)) {
+        return;
       }
-      // mo: acquire — [seg-publish]: pairs with the allocator's release
-      // directory CAS (see pass 1).
-      IndexSegment* seg = segments_[si].load(std::memory_order_acquire);
-      if (seg == nullptr) {
-        continue;
-      }
-      for (int w = 0; w < kCondSyncSegmentWords; ++w) {
+      for (int w = 0; w < kSegmentWords; ++w) {
         // mo: acquire — [wake-publish]: pairs with the waiter's release
         // insert in AddGlobal, same clock-chain argument as the shard scan.
-        std::uint64_t cand = seg->global[w].load(std::memory_order_acquire);
+        std::uint64_t cand = seg.global[w].load(std::memory_order_acquire);
         // A tid registers either indexed or global, never both, so masking
         // out the shard union usually suppresses a racing re-registration
         // between the passes. It is best-effort, NOT a dedup guarantee: a tid
@@ -522,26 +474,15 @@ class WakeIndex {
         // (WakeWaiters keeps a seen bitmap); claiming stays correct
         // regardless because a second claim attempt observes asleep == 0 and
         // skips.
-        for (int sw = 0; sw < shard_words_; ++sw) {
-          std::uint64_t ss = shard_set[sw];
-          while (ss != 0) {
-            int s = sw * 64 + __builtin_ctzll(ss);
-            ss &= ss - 1;
-            // mo: relaxed — [wake-publish] rider: best-effort de-dup mask of
-            // the global pass (see the comment above); a stale word only lets
-            // a duplicate candidate through, which callers dedup anyway.
-            cand &= ~ShardWord(*seg, s, w).load(std::memory_order_relaxed);
-          }
-        }
-        while (cand != 0) {
-          int bit = __builtin_ctzll(cand);
-          cand &= cand - 1;
-          if (!fn(si * kCondSyncSegmentSize + w * 64 + bit)) {
-            return;
-          }
-        }
+        ForEachShardIn(shard_set, [&](int s) {
+          // mo: relaxed — [wake-publish] rider: best-effort de-dup mask of
+          // the global pass (see the comment above); a stale word only lets
+          // a duplicate candidate through, which callers dedup anyway.
+          cand &= ~ShardWord(seg, s, w).load(std::memory_order_relaxed);
+        });
+        EmitTids((si << kSegmentShift) + w * 64, cand, fn);
       }
-    }
+    });
   }
 
   // One-shot convenience: build the shard set into stack scratch and visit it.
@@ -556,11 +497,11 @@ class WakeIndex {
 
   // True if tid holds any entry, indexed or global.
   bool HasEntries(int tid) const {
-    const IndexSegment* seg = SegmentOf(tid >> kCondSyncSegmentShift);
+    const IndexSegment* seg = segments_.Get(tid >> kSegmentShift);
     if (seg == nullptr) {
       return false;
     }
-    const int rel = tid & (kCondSyncSegmentSize - 1);
+    const int rel = tid & (kSegmentSize - 1);
     if (seg->per_tid_global[rel] != 0) {
       return true;
     }
@@ -574,19 +515,18 @@ class WakeIndex {
   }
 
   bool IsGlobal(int tid) const {
-    const IndexSegment* seg = SegmentOf(tid >> kCondSyncSegmentShift);
+    const IndexSegment* seg = segments_.Get(tid >> kSegmentShift);
     return seg != nullptr &&
-           seg->per_tid_global[tid & (kCondSyncSegmentSize - 1)] != 0;
+           seg->per_tid_global[tid & (kSegmentSize - 1)] != 0;
   }
 
   // Number of distinct shards tid registered under.
   int ShardSetPopulation(int tid) const {
-    const IndexSegment* seg = SegmentOf(tid >> kCondSyncSegmentShift);
+    const IndexSegment* seg = segments_.Get(tid >> kSegmentShift);
     if (seg == nullptr) {
       return 0;
     }
-    const std::uint64_t* set =
-        PerTidShards(*seg, tid & (kCondSyncSegmentSize - 1));
+    const std::uint64_t* set = PerTidShards(*seg, tid & (kSegmentSize - 1));
     int n = 0;
     for (int sw = 0; sw < shard_words_; ++sw) {
       n += __builtin_popcountll(set[sw]);
@@ -596,12 +536,11 @@ class WakeIndex {
 
   // True iff tid registered under shard s.
   bool InShardSet(int tid, int s) const {
-    const IndexSegment* seg = SegmentOf(tid >> kCondSyncSegmentShift);
+    const IndexSegment* seg = segments_.Get(tid >> kSegmentShift);
     if (seg == nullptr) {
       return false;
     }
-    const std::uint64_t* set =
-        PerTidShards(*seg, tid & (kCondSyncSegmentSize - 1));
+    const std::uint64_t* set = PerTidShards(*seg, tid & (kSegmentSize - 1));
     return (set[s >> 6] & (std::uint64_t{1} << (s & 63))) != 0;
   }
 
@@ -626,36 +565,54 @@ class WakeIndex {
   std::size_t FootprintBytes() const;
 
   // Number of segments with an allocated control block.
-  int AllocatedSegments() const;
+  int AllocatedSegments() const { return segments_.Allocated(); }
 
  private:
   static constexpr int kMaxShardWords = kMaxShards / 64;
 
   // One 256-tid segment control block: a shard-major bitmap slab (shard s,
-  // word w at bits[s * kCondSyncSegmentWords + w]), the segment's global-
-  // fallback words, and owner-thread bookkeeping. Adjacent shards share cache
-  // lines within a segment — benign, because cross-thread traffic on one
-  // segment is already bounded to its 256 tids and the flat layout keeps the
-  // slab ~8x smaller than per-shard line padding would.
+  // word w at bits[s * kSegmentWords + w]), the segment's global-fallback
+  // words, and owner-thread bookkeeping. Adjacent shards share cache lines
+  // within a segment — benign, because cross-thread traffic on one segment
+  // is already bounded to its 256 tids and the flat layout keeps the slab ~8x
+  // smaller than per-shard line padding would. Every word starts zero.
   struct alignas(kCacheLineBytes) IndexSegment {
+    IndexSegment(int num_shards, int shard_words)
+        : bits(std::make_unique<std::atomic<std::uint64_t>[]>(
+              static_cast<std::size_t>(num_shards) * kSegmentWords)),
+          per_tid_shards(std::make_unique<std::uint64_t[]>(
+              static_cast<std::size_t>(kSegmentSize) * shard_words)) {}
+
     std::unique_ptr<std::atomic<std::uint64_t>[]> bits;
-    std::atomic<std::uint64_t> global[kCondSyncSegmentWords];
+    std::atomic<std::uint64_t> global[kSegmentWords]{};
     // Owner-thread-only bookkeeping of what each tid registered (one
     // shard_words_-word bitmap per tid), so Remove can clear exactly those
     // entries without scanning all shards.
     std::unique_ptr<std::uint64_t[]> per_tid_shards;
-    std::uint8_t per_tid_global[kCondSyncSegmentSize];
+    std::uint8_t per_tid_global[kSegmentSize]{};
   };
 
-  static bool SummaryHas(const std::uint64_t* summary, int words, int si) {
-    int w = si >> 6;
-    return w < words && (summary[w] & (std::uint64_t{1} << (si & 63))) != 0;
+  // Calls f(s) for every shard s in a shard_words()-word shard set.
+  template <typename F>
+  void ForEachShardIn(const std::uint64_t* shard_set, F&& f) const {
+    for (int sw = 0; sw < shard_words_; ++sw) {
+      for (std::uint64_t word = shard_set[sw]; word != 0; word &= word - 1) {
+        f(sw * 64 + __builtin_ctzll(word));
+      }
+    }
+  }
+
+  // Calls fn(base + b) for every set bit b of `word`, ascending.
+  template <typename Fn>
+  static void EmitTids(int base, std::uint64_t word, Fn& fn) {
+    for (; word != 0; word &= word - 1) {
+      fn(base + __builtin_ctzll(word));
+    }
   }
 
   std::atomic<std::uint64_t>& ShardWord(IndexSegment& seg, int shard,
                                         int word) const {
-    return seg.bits[static_cast<std::size_t>(shard) * kCondSyncSegmentWords +
-                    word];
+    return seg.bits[static_cast<std::size_t>(shard) * kSegmentWords + word];
   }
   std::uint64_t* PerTidShards(IndexSegment& seg, int rel) const {
     return &seg.per_tid_shards[static_cast<std::size_t>(rel) * shard_words_];
@@ -664,24 +621,22 @@ class WakeIndex {
     return &seg.per_tid_shards[static_cast<std::size_t>(rel) * shard_words_];
   }
 
-  // Returns the segment's control block, allocating and publishing it on
-  // first touch (waiter side). SegmentOf is the read-only variant: null means
-  // no tid of that range ever registered.
-  IndexSegment& EnsureSegment(int si);
-  IndexSegment* SegmentOf(int si) const {
-    // mo: acquire — [seg-publish]: pairs with the allocator's release
-    // directory CAS; a non-null pointer implies a fully initialized block.
-    return segments_[si].load(std::memory_order_acquire);
+  // The segment's control block, built and published on first touch (waiter
+  // side).
+  IndexSegment& EnsureSegment(int si) {
+    return segments_.Ensure(
+        si,
+        [&] {
+          TCS_PROTO(if (checker_ != nullptr) checker_->OnSegmentPublished(
+                        ProtocolChecker::SegmentKind::kWakeIndex, si));
+        },
+        num_shards_, shard_words_);
   }
 
-  int capacity_;
-  int num_segments_;
   int num_shards_;
   int shards_log2_;
   int shard_words_;
-  // Directory of lazily allocated segments; entries are owned (deleted in the
-  // destructor) and published at most once via release-CAS.
-  std::unique_ptr<std::atomic<IndexSegment*>[]> segments_;
+  SegmentDirectory<IndexSegment> segments_;
   ProtocolChecker* checker_ = nullptr;
 };
 

@@ -7,7 +7,7 @@
 #include <thread>
 
 #include "src/common/assert.h"
-#include "src/condsync/segment.h"
+#include "src/common/segment_directory.h"
 #include "src/tm/orec_table.h"
 
 namespace tcs {
@@ -31,10 +31,7 @@ void DefaultFailureHandler(void* ctx, const char* protocol, const char* detail) 
 ProtocolChecker::ProtocolChecker(const OrecTable& orecs, int max_threads)
     : orecs_(orecs),
       max_threads_(max_threads),
-      segment_shadow_words_(((max_threads + kCondSyncSegmentSize - 1) >>
-                             kCondSyncSegmentShift) /
-                                64 +
-                            1),
+      segment_shadow_words_(SegmentCount(max_threads) / 64 + 1),
       handler_(&DefaultFailureHandler) {
   TCS_CHECK(max_threads > 0);
   orec_shadow_ = std::make_unique<OrecShadow[]>(orecs.size());
@@ -320,8 +317,7 @@ void ProtocolChecker::OnWakePost(int waiter_tid) {
 void ProtocolChecker::OnSegmentPublished(SegmentKind kind, int index) {
   const char* name =
       kind == SegmentKind::kWaiterRegistry ? "waiter-registry" : "wake-index";
-  const int max_segments =
-      (max_threads_ + kCondSyncSegmentSize - 1) >> kCondSyncSegmentShift;
+  const int max_segments = SegmentCount(max_threads_);
   if (index < 0 || index >= max_segments) {
     Fail("segment-publish", "%s published segment %d outside [0, %d)", name,
          index, max_segments);

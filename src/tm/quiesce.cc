@@ -7,27 +7,6 @@
 
 namespace tcs {
 
-QuiesceTable::QuiesceTable(int max_threads) : max_threads_(max_threads) {
-  TCS_CHECK(max_threads > 0);
-  num_segments_ =
-      (max_threads + kCondSyncSegmentSize - 1) >> kCondSyncSegmentShift;
-  segments_ = std::make_unique<std::atomic<Segment*>[]>(
-      static_cast<std::size_t>(num_segments_));
-  for (int i = 0; i < num_segments_; ++i) {
-    // mo: relaxed — single-threaded construction; the table is published to
-    // worker threads by the owning runtime's thread-start edge.
-    segments_[i].store(nullptr, std::memory_order_relaxed);
-  }
-}
-
-QuiesceTable::~QuiesceTable() {
-  for (int i = 0; i < num_segments_; ++i) {
-    // mo: relaxed — destruction is single-threaded; every reader and
-    // committer is quiescent.
-    delete segments_[i].load(std::memory_order_relaxed);
-  }
-}
-
 void QuiesceTable::Register(int tid) {
   TCS_CHECK(tid >= 0 && tid < max_threads_);
   // mo: relaxed — registration is serialized by the caller, so the last
@@ -40,49 +19,24 @@ void QuiesceTable::Register(int tid) {
   }
 }
 
-QuiesceTable::Segment& QuiesceTable::EnsureSegment(int si) {
-  // mo: acquire — [seg-publish]: pairs with the release directory CAS below;
-  // a non-null pointer implies a fully initialized (all-kInactive) block.
-  Segment* seg = segments_[si].load(std::memory_order_acquire);
-  if (seg != nullptr) {
-    return *seg;
-  }
-  auto fresh = std::make_unique<Segment>();  // Slots default to kInactive.
-  Segment* expected = nullptr;
-  // mo: acq_rel — [seg-publish]: success releases the initialized block to
-  // every acquire directory load (and is sequenced before the owner's first
-  // seq_cst SetActive, which is what lets the commit-path scan skip null
-  // entries — see the header); failure acquires the winning racer's
-  // publication so the adopted block is fully visible.
-  if (segments_[si].compare_exchange_strong(expected, fresh.get(),
-                                            std::memory_order_acq_rel)) {
-    return *fresh.release();
-  }
-  // Lost the publication race: drop our block, adopt the winner's.
-  return *expected;
-}
-
 template <typename F>
 void QuiesceTable::ForEachSlot(F&& fn) const {
   // Read once, after the caller's anchor: a thread registered later is one
-  // this walk is not obliged to wait for (see the header).
+  // this walk is not obliged to wait for (see the header). Skipping a null
+  // segment is sound for the same reason: its publication is sequenced
+  // before the owning threads' seq_cst SetActive / commit-flag stores, so a
+  // thread this walk is obliged to wait for ([quiesce-dekker],
+  // [serial-token]) has its segment visible here.
   const int bound = this->bound();
-  for (int si = 0, base = 0; base < bound;
-       ++si, base += kCondSyncSegmentSize) {
-    // mo: acquire — [seg-publish]: pairs with the allocator's release CAS. A
-    // null entry is skipped soundly: segment publication is sequenced before
-    // the owning threads' seq_cst SetActive / commit-flag stores, so a thread
-    // this walk is obliged to wait for ([quiesce-dekker], [serial-token]) has
-    // its segment visible here.
-    Segment* seg = segments_[si].load(std::memory_order_acquire);
-    if (seg == nullptr) {
-      continue;
-    }
-    const int n = std::min(kCondSyncSegmentSize, bound - base);
-    for (int r = 0; r < n; ++r) {
-      fn(base + r, seg->slots[r]);
-    }
-  }
+  segments_.ForEach(
+      [&](int si, Segment& seg) {
+        const int base = si << kSegmentShift;
+        const int n = std::min(kSegmentSize, bound - base);
+        for (int r = 0; r < n; ++r) {
+          fn(base + r, seg.slots[r]);
+        }
+      },
+      SegmentCount(bound));
 }
 
 void QuiesceTable::WaitForReadersBefore(std::uint64_t time, int self) const {
@@ -116,18 +70,6 @@ void QuiesceTable::WaitForCommitFlagsClear() const {
       CpuRelax();
     }
   });
-}
-
-std::size_t QuiesceTable::FootprintBytes() const {
-  std::size_t bytes =
-      static_cast<std::size_t>(num_segments_) * sizeof(segments_[0]);
-  for (int si = 0; si < num_segments_; ++si) {
-    // mo: relaxed — monitoring read; only the pointer's nullness is used.
-    if (segments_[si].load(std::memory_order_relaxed) != nullptr) {
-      bytes += sizeof(Segment);
-    }
-  }
-  return bytes;
 }
 
 }  // namespace tcs

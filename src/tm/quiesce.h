@@ -12,15 +12,15 @@
 // drains. Both walks — WaitForReadersBefore and WaitForCommitFlagsClear —
 // visit the same slots.
 //
-// Capacity tier: slots live in lazily allocated 256-thread segments behind an
-// atomic directory ([seg-publish]), so a 64Ki-thread ceiling costs a few
+// Capacity tier: slots live in a SegmentDirectory
+// (src/common/segment_directory.h), so a 64Ki-thread ceiling costs a few
 // directory words, not a 4MB slab. A null directory entry is safe to skip:
-// a thread's segment publication (release CAS) is sequenced before its first
-// SetActive, and SetActive's seq_cst store orders all program-order-earlier
-// stores before itself — so any committer whose [quiesce-dekker] anchor
-// obliges it to observe the straggler's slot also observes the segment
-// pointer, and a committer that reads null is one the straggler's clock
-// sample is ordered after (start ≥ end).
+// a thread's segment publication is sequenced before its first SetActive,
+// and SetActive's seq_cst store orders all program-order-earlier stores
+// before itself — so any committer whose [quiesce-dekker] anchor obliges it
+// to observe the straggler's slot also observes the segment pointer, and a
+// committer that reads null is one the straggler's clock sample is ordered
+// after (start ≥ end).
 //
 // Scan bound: the walks stop at the registered-tid high-water mark — the
 // number of tids the domain has handed out (Register) — not at the directory's
@@ -39,21 +39,17 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 
 #include "src/common/cache_line.h"
-#include "src/condsync/segment.h"
+#include "src/common/segment_directory.h"
 #include "src/tm/protocol_checker.h"
 
 namespace tcs {
 
 class QuiesceTable {
  public:
-  explicit QuiesceTable(int max_threads);
-  ~QuiesceTable();
-
-  QuiesceTable(const QuiesceTable&) = delete;
-  QuiesceTable& operator=(const QuiesceTable&) = delete;
+  explicit QuiesceTable(int max_threads)
+      : segments_(max_threads), max_threads_(max_threads) {}
 
   // Admits `tid` to the walks by raising the bound past it. Callers serialize
   // registration (TmSystem's registration lock) and call this on the
@@ -102,13 +98,13 @@ class QuiesceTable {
 
   // Bytes currently committed to this table: the directory plus every
   // allocated segment.
-  std::size_t FootprintBytes() const;
+  std::size_t FootprintBytes() const {
+    return segments_.FootprintBytes(sizeof(Segment));
+  }
 
   // Domain-owned tables report SetActive calls to the protocol checker
   // (TCS_PROTOCOL_CHECKS builds); standalone tables stay unchecked.
   void AttachProtocolChecker(ProtocolChecker* checker) { checker_ = checker; }
-
-  int max_threads() const { return max_threads_; }
 
  private:
   static constexpr std::uint64_t kInactive = ~std::uint64_t{0};
@@ -118,23 +114,21 @@ class QuiesceTable {
     std::atomic<int> committing{0};
   };
   struct Segment {
-    Slot slots[kCondSyncSegmentSize];
+    Slot slots[kSegmentSize];
   };
 
   // The slot for `tid`, allocating its segment on first touch.
   Slot& SlotOf(int tid) {
-    return EnsureSegment(tid >> kCondSyncSegmentShift)
-        .slots[tid & (kCondSyncSegmentSize - 1)];
+    return segments_.Ensure(tid >> kSegmentShift, [] {})
+        .slots[tid & (kSegmentSize - 1)];
   }
-  Segment& EnsureSegment(int si);
 
   // Calls fn(tid, slot) for every allocated slot below the bound.
   template <typename F>
   void ForEachSlot(F&& fn) const;
 
-  std::unique_ptr<std::atomic<Segment*>[]> segments_;
-  int num_segments_;
-  int max_threads_;
+  SegmentDirectory<Segment> segments_;
+  const int max_threads_;
   std::atomic<int> bound_{0};
   ProtocolChecker* checker_ = nullptr;
 };

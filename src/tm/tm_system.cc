@@ -121,8 +121,10 @@ TxDesc& TmSystem::RegisterThread() {
     lot_.Reset(d.park);
     return d;
   }
-  TCS_CHECK_MSG(next_tid_ < cfg_.max_threads, "too many threads for this TM domain");
-  int tid = next_tid_++;
+  // The quiesce table's bound is the domain's one registered-tid high-water
+  // mark: every tid below it was handed out, and only this lock raises it.
+  const int tid = quiesce_.bound();
+  TCS_CHECK_MSG(tid < cfg_.max_threads, "too many threads for this TM domain");
   descs_[tid] = std::make_unique<TxDesc>(tid, uid_ * 0x9E3779B9ULL + tid);
   // Before this thread's first transaction: its quiesce slot and commit flag
   // must sit below the bound the commit-path walks stop at.
@@ -167,9 +169,9 @@ TxDesc& TmSystem::Desc() {
 ParkSpot& TmSystem::SpotOf(int tid) {
   // Always-on: an out-of-range tid here dereferences a null descriptor slot,
   // and this runs only on the condvar signal slow path. Bounds come from the
-  // immutable config rather than next_tid_ (which a concurrent registration
-  // may be growing); any tid that can legitimately reach here was published
-  // after its registration, so its slot is visibly non-null.
+  // immutable config rather than the registered-tid bound (which a concurrent
+  // registration may be raising); any tid that can legitimately reach here
+  // was published after its registration, so its slot is visibly non-null.
   TCS_CHECK(tid >= 0 && tid < cfg_.max_threads);
   TxDesc* d = descs_[static_cast<std::size_t>(tid)].get();
   TCS_CHECK_MSG(d != nullptr, "SpotOf for a never-registered tid");

@@ -400,7 +400,6 @@ class TmSystem {
   mutable SpinLock registration_lock_;
   std::vector<std::unique_ptr<TxDesc>> descs_;
   std::vector<int> free_tids_;
-  int next_tid_ = 0;
 
   std::unique_ptr<WaiterRegistry> waiters_;
   std::unique_ptr<RetryOrigRegistry> retry_orig_;

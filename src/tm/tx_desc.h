@@ -170,12 +170,12 @@ struct TxDesc {
   // duplicate candidates: a waiter that deregisters and re-registers globally
   // between the shard pass and the global pass of ForEachCandidateIn can be
   // emitted twice (see wake_index.h). Zeroed lazily per wake pass; sized to
-  // the registry's populated tid bound, growing on demand for segments
-  // published mid-pass.
+  // the domain's registered-tid high-water mark, growing on demand for
+  // threads registered mid-pass.
   std::vector<std::uint64_t> wake_seen_scratch;
   // Repair-stable copy of the registry's segment summary (summary_words()
   // words), taken once per wake pass and used as the wake index's segment
-  // iteration mask (WakeIndex::ForEachCandidateInSegments).
+  // iteration mask (WakeIndex::ForEachCandidateIn).
   std::vector<std::uint64_t> wake_seg_scratch;
 
   // --- simulated HTM state ---

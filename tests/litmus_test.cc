@@ -71,7 +71,6 @@ TEST(LitmusWakePublishTest, InsertPublishesThroughClockChain) {
           seen = true;
           seen_payload = payload;  // race-free iff [wake-publish] holds
         }
-        return true;
       });
     });
     waiter.join();

@@ -226,6 +226,30 @@ TEST_F(ProtocolCheckerTest, QuiesceSlotAtOrAboveTheBoundFires) {
   EXPECT_EQ(rec_.Count("quiesce-bound"), 2);
 }
 
+// --- segment publication balance ---
+
+// Seeded violation: a second publication of one (kind, index) means a losing
+// racer reported itself or overwrote the winner's directory entry. The same
+// index in the other structure is a separate publication.
+TEST_F(ProtocolCheckerTest, SegmentPublishedTwiceFires) {
+  using Kind = ProtocolChecker::SegmentKind;
+  checker_.OnSegmentPublished(Kind::kWaiterRegistry, 0);
+  checker_.OnSegmentPublished(Kind::kWakeIndex, 0);
+  EXPECT_TRUE(rec_.protocols.empty());
+  checker_.OnSegmentPublished(Kind::kWakeIndex, 0);
+  EXPECT_EQ(rec_.Count("segment-publish"), 1);
+}
+
+// Seeded violation: kMaxThreads tids fit in segment 0, so index 1 (or a
+// negative one) lies outside every directory of this domain.
+TEST_F(ProtocolCheckerTest, SegmentIndexOutOfRangeFires) {
+  using Kind = ProtocolChecker::SegmentKind;
+  checker_.OnSegmentPublished(Kind::kWaiterRegistry, 1);
+  EXPECT_EQ(rec_.Count("segment-publish"), 1);
+  checker_.OnSegmentPublished(Kind::kWakeIndex, -1);
+  EXPECT_EQ(rec_.Count("segment-publish"), 2);
+}
+
 #if TCS_PROTOCOL_CHECKS
 // The same seeded violation through a real table: SetActive on a tid that was
 // never registered reports it.

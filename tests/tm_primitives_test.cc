@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <barrier>
 #include <chrono>
 #include <cstring>
 #include <functional>
@@ -12,6 +13,7 @@
 
 #include "src/common/backoff.h"
 #include "src/common/random.h"
+#include "src/common/segment_directory.h"
 #include "src/common/spin_lock.h"
 #include "src/tm/orec_table.h"
 #include "src/tm/quiesce.h"
@@ -319,6 +321,105 @@ TEST(QuiesceTest, CommitFlagDrainWaitsAtHighestTidAndSecondSegment) {
         // mo: release — [harness] the drain's load observes the clear.
         [&] { q.CommitFlag(tid).store(0, std::memory_order_release); });
   }
+}
+
+// A segment block that counts its constructions and destructions. While
+// `rendezvous` is set, each constructor waits (up to 10 s) until that many
+// blocks exist, so racing first touches all build a block before any of
+// them can publish.
+struct CountedBlock {
+  explicit CountedBlock(int t) : tag(t) {
+    // mo: acq_rel — [harness] count this construction, observe the others'.
+    constructed.fetch_add(1, std::memory_order_acq_rel);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    // mo: acquire — [harness] observe the other racers' constructions.
+    while (constructed.load(std::memory_order_acquire) < rendezvous &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+  }
+  ~CountedBlock() {
+    // mo: relaxed — [harness] read after the joins and the destructor.
+    destroyed.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  static void Reset(int racers) {
+    rendezvous = racers;
+    // mo: relaxed — [harness] set before any thread that reads it starts.
+    constructed.store(0, std::memory_order_relaxed);
+    // mo: relaxed — [harness] same as above.
+    destroyed.store(0, std::memory_order_relaxed);
+  }
+
+  int tag;
+  inline static int rendezvous = 0;
+  inline static std::atomic<int> constructed{0};
+  inline static std::atomic<int> destroyed{0};
+};
+
+// Eight threads race the first touch of one segment: every racer must adopt
+// the one published block, the publication hook must run once, and each
+// losing racer must free the block it built.
+TEST(SegmentDirectoryTest, RacingEnsurePublishesOneBlock) {
+  constexpr int kThreads = 8;
+  CountedBlock::Reset(kThreads);
+  {
+    SegmentDirectory<CountedBlock> dir(4 * kSegmentSize);
+    std::atomic<int> publishes{0};
+    std::vector<CountedBlock*> got(kThreads, nullptr);
+    std::barrier start(kThreads);
+    std::vector<std::thread> ts;
+    for (int t = 0; t < kThreads; ++t) {
+      ts.emplace_back([&, t] {
+        start.arrive_and_wait();
+        got[t] = &dir.Ensure(
+            3,
+            // mo: relaxed — [harness] read after the joins.
+            [&] { publishes.fetch_add(1, std::memory_order_relaxed); }, t);
+      });
+    }
+    for (std::thread& th : ts) {
+      th.join();
+    }
+    for (CountedBlock* b : got) {
+      EXPECT_EQ(b, got[0]);
+    }
+    EXPECT_EQ(dir.Get(3), got[0]);
+    // mo: relaxed — [harness] ordered by the joins.
+    EXPECT_EQ(publishes.load(std::memory_order_relaxed), 1);
+    EXPECT_EQ(dir.Allocated(), 1);
+    // mo: relaxed — [harness] ordered by the joins.
+    EXPECT_EQ(CountedBlock::constructed.load(std::memory_order_relaxed),
+              kThreads)
+        << "the racers did not all build a block; the race was not run";
+  }
+  // mo: relaxed — [harness] ordered by the joins and the destructor.
+  EXPECT_EQ(CountedBlock::destroyed.load(std::memory_order_relaxed),
+            // mo: relaxed — [harness] same as above.
+            CountedBlock::constructed.load(std::memory_order_relaxed));
+}
+
+TEST(SegmentDirectoryTest, ForEachVisitsPublishedSegmentsBelowLimitAscending) {
+  CountedBlock::Reset(0);
+  SegmentDirectory<CountedBlock> dir(6 * kSegmentSize);
+  EXPECT_EQ(dir.size(), 6);
+  for (int si : {4, 1, 2}) {
+    dir.Ensure(si, [] {}, si);
+  }
+  EXPECT_EQ(dir.Get(0), nullptr);
+  std::vector<int> seen;
+  dir.ForEach([&](int si, CountedBlock& b) {
+    EXPECT_EQ(b.tag, si);
+    seen.push_back(si);
+  });
+  EXPECT_EQ(seen, (std::vector<int>{1, 2, 4}));
+  seen.clear();
+  dir.ForEach([&](int si, CountedBlock&) { seen.push_back(si); }, 4);
+  EXPECT_EQ(seen, (std::vector<int>{1, 2}));
+  EXPECT_EQ(dir.Allocated(), 3);
+  // Six directory words plus three blocks of the given size.
+  EXPECT_EQ(dir.FootprintBytes(100), 6 * sizeof(void*) + 3 * 100);
 }
 
 TEST(SpinLockTest, MutualExclusionUnderContention) {

@@ -29,7 +29,6 @@ TEST(WaiterRegistryTest, EmptyRegistryHasNoWaiters) {
   int visits = 0;
   r.ForEachRegistered([&](int, WaiterSlot&) {
     visits++;
-    return true;
   });
   EXPECT_EQ(visits, 0);
 }
@@ -44,7 +43,6 @@ TEST(WaiterRegistryTest, MarkUnmarkRoundTrip) {
   std::vector<int> seen;
   r.ForEachRegistered([&](int tid, WaiterSlot&) {
     seen.push_back(tid);
-    return true;
   });
   EXPECT_EQ(seen, (std::vector<int>{0, 63, 64, 127}));
   r.UnmarkRegistered(63);
@@ -52,25 +50,11 @@ TEST(WaiterRegistryTest, MarkUnmarkRoundTrip) {
   seen.clear();
   r.ForEachRegistered([&](int tid, WaiterSlot&) {
     seen.push_back(tid);
-    return true;
   });
   EXPECT_EQ(seen, (std::vector<int>{64, 127}));
   r.UnmarkRegistered(64);
   r.UnmarkRegistered(127);
   EXPECT_FALSE(r.HasWaiters());
-}
-
-TEST(WaiterRegistryTest, ForEachStopsWhenCallbackReturnsFalse) {
-  WaiterRegistry r(64);
-  for (int t = 0; t < 8; ++t) {
-    r.MarkRegistered(t);
-  }
-  int visits = 0;
-  r.ForEachRegistered([&](int, WaiterSlot&) {
-    visits++;
-    return visits < 3;
-  });
-  EXPECT_EQ(visits, 3);
 }
 
 TEST(WaiterRegistryTest, SlotPrepareStoresPublication) {

@@ -81,7 +81,6 @@ TEST(WakeIndexUnitTest, EmptyIndexYieldsNoCandidates) {
   int visits = 0;
   idx.ForEachCandidate(orecs, 1, [&](int) {
     ++visits;
-    return true;
   });
   EXPECT_EQ(visits, 0);
   EXPECT_TRUE(idx.Empty());
@@ -112,7 +111,6 @@ TEST(WakeIndexUnitTest, IndexedWaiterIsCandidateOnlyForItsShards) {
   const Orec* writes_a[] = {a};
   idx.ForEachCandidate(writes_a, 1, [&](int tid) {
     seen.push_back(tid);
-    return true;
   });
   EXPECT_EQ(seen, (std::vector<int>{7}));
 
@@ -120,7 +118,6 @@ TEST(WakeIndexUnitTest, IndexedWaiterIsCandidateOnlyForItsShards) {
   const Orec* writes_b[] = {b};
   idx.ForEachCandidate(writes_b, 1, [&](int tid) {
     seen.push_back(tid);
-    return true;
   });
   EXPECT_TRUE(seen.empty()) << "disjoint shard produced a candidate";
 
@@ -138,7 +135,6 @@ TEST(WakeIndexUnitTest, GlobalWaiterIsAlwaysACandidate) {
   std::vector<int> seen;
   idx.ForEachCandidate(writes, 1, [&](int tid) {
     seen.push_back(tid);
-    return true;
   });
   EXPECT_EQ(seen, (std::vector<int>{3}));
   idx.Remove(3);
@@ -177,7 +173,6 @@ TEST(WakeIndexUnitTest, GlobalPassMayReEmitARacinglyReRegisteredTid) {
       idx.AddGlobal(tid);
     }
     seen.push_back(tid);
-    return true;
   });
   EXPECT_EQ(seen, (std::vector<int>{5, 5}))
       << "if this stops re-emitting, the index now dedups internally and "
@@ -196,7 +191,6 @@ TEST(WakeIndexUnitTest, SingleShardDegradesToGlobalScan) {
   std::vector<int> seen;
   idx.ForEachCandidate(writes, 1, [&](int tid) {
     seen.push_back(tid);
-    return true;
   });
   EXPECT_EQ(seen, (std::vector<int>{2}));
 }
@@ -227,7 +221,6 @@ TEST_P(WakeIndexShardCountTest, ShardBookkeepingCoversEveryRegisteredOrec) {
     const Orec* writes[] = {o};
     idx.ForEachCandidate(writes, 1, [&](int tid) {
       seen.push_back(tid);
-      return true;
     });
     EXPECT_EQ(seen, (std::vector<int>{70}))
         << "a registered orec's shard lost its waiter";
@@ -254,7 +247,6 @@ TEST_P(WakeIndexShardCountTest, TargetedLookupsStaySelectiveAndConservative) {
     idx.ForEachCandidate(writes, 1, [&](int tid) {
       ++total_candidates;
       saw_owner |= (tid == t);
-      return true;
     });
     EXPECT_TRUE(saw_owner) << "conservativeness violated: waiter " << t
                            << " missing for its own orec";
@@ -315,7 +307,6 @@ TEST_P(WakeIndexShardCountTest, EmptyOrecListFallsBackToGlobal) {
   std::vector<int> seen;
   idx.ForEachCandidate(writes, 1, [&](int tid) {
     seen.push_back(tid);
-    return true;
   });
   EXPECT_EQ(seen, (std::vector<int>{5}))
       << "empty-waitset waiter is not reachable by a writer";
@@ -663,7 +654,6 @@ TEST(WakeIndexUnitTest, CandidatesVisitIndexedBeforeGlobal) {
   std::vector<int> seen;
   idx.ForEachCandidate(writes, 1, [&](int tid) {
     seen.push_back(tid);
-    return true;
   });
   EXPECT_EQ(seen, (std::vector<int>{9, 2}))
       << "indexed candidate must be offered before the global one";
