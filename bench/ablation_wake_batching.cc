@@ -33,7 +33,6 @@
 
 #include "bench/bench_util.h"
 #include "bench/wake_scenarios.h"
-#include "src/condsync/waiter_registry.h"
 #include "src/condsync/wake_index.h"
 #include "src/core/runtime.h"
 #include "src/core/transaction.h"
@@ -78,7 +77,7 @@ bool VerifyNoLostWakeups(tcs::Backend backend, int batch, bool cas,
       woken.fetch_add(1, std::memory_order_acq_rel);
     });
   }
-  while (rt.sys().waiters().RegisteredCount() < waiters) {
+  while (rt.sys().wake_index().RegisteredCount() < waiters) {
     std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
   for (int w = 0; w < waiters; ++w) {
@@ -104,7 +103,7 @@ bool VerifyNoLostWakeups(tcs::Backend backend, int batch, bool cas,
     t.join();
   }
   if (!rt.sys().wake_index().Empty() ||
-      rt.sys().waiters().RegisteredCount() != 0) {
+      rt.sys().wake_index().RegisteredCount() != 0) {
     std::fprintf(stderr, "LEAKED WAKE ENTRY: backend=%s batch=%d\n",
                  BackendName(backend), batch);
     return false;

@@ -258,9 +258,7 @@ void EmitWaiterScaleRow(JsonWriter& w, const WaiterScaleResult& r) {
   w.Key("wake_rounds").U64(r.wake_rounds);
   w.Key("acks").U64(r.acks);
   w.Key("lost_wakeups").U64(r.lost_wakeups);
-  w.Key("registry_bytes").U64(r.registry_bytes);
   w.Key("wake_index_bytes").U64(r.wake_index_bytes);
-  w.Key("registry_segments").Int(r.registry_segments);
   w.Key("mem_bytes_per_waiter").Double(r.mem_bytes_per_waiter);
   w.Key("timed_waits").U64(r.timed_waits);
   w.Key("wheel_ticks").U64(r.wheel_ticks);

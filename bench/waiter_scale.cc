@@ -13,7 +13,7 @@
 
 #include "bench/bench_util.h"
 #include "src/common/assert.h"
-#include "src/condsync/waiter_registry.h"
+#include "src/condsync/wake_index.h"
 #include "src/core/runtime.h"
 #include "src/core/transaction.h"
 #include "src/tm/tm_system.h"
@@ -134,7 +134,7 @@ struct TrialCtx {
   std::atomic<std::uint64_t> ack_count{0};
   // Timed waiters bump this after their first RetryFor round completes (a
   // timeout — nothing is written during the park phase), proving they have
-  // descheduled at least once and materialized their registry/index segment.
+  // descheduled at least once and materialized their wake-index segment.
   std::atomic<int> timed_entered{0};
 };
 
@@ -266,11 +266,11 @@ WaiterScaleResult RunWaiterScaleTrial(const WaiterScaleOptions& opts) {
   const int untimed_spawned = spawned - timed_spawned;
 
   // Park barrier. Untimed waiters stay registered until woken, so the
-  // registry count reaching their total means all of them are parked. Timed
+  // registered count reaching their total means all of them are parked. Timed
   // waiters churn (deregistering for a moment on every timeout), so an exact
   // RegisteredCount match may never hold; their first completed RetryFor
   // round is the proof they parked and materialized their segments.
-  while (rt.sys().waiters().RegisteredCount() < untimed_spawned ||
+  while (rt.sys().wake_index().RegisteredCount() < untimed_spawned ||
          // mo: acquire — [harness] observe worker-published progress.
          ctx.timed_entered.load(std::memory_order_acquire) < timed_spawned) {
     std::this_thread::sleep_for(std::chrono::microseconds(200));
@@ -338,11 +338,9 @@ WaiterScaleResult RunWaiterScaleTrial(const WaiterScaleOptions& opts) {
   // order everything, belt and braces).
   r.acks = ctx.ack_count.load(std::memory_order_acquire);
   r.lost_wakeups = r.acks >= rounds ? 0 : rounds - r.acks;
-  r.registry_bytes = obs_parked.condsync_registry_bytes;
   r.wake_index_bytes = obs_parked.condsync_wake_index_bytes;
-  r.registry_segments = obs_parked.registry_segments;
   r.mem_bytes_per_waiter =
-      spawned > 0 ? static_cast<double>(r.registry_bytes + r.wake_index_bytes) /
+      spawned > 0 ? static_cast<double>(r.wake_index_bytes) /
                         static_cast<double>(spawned)
                   : 0.0;
   r.timed_waits = park_phase_timeouts + st.Get(Counter::kWaitTimeouts);

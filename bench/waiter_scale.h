@@ -50,10 +50,9 @@ struct WaiterScaleResult {
   std::uint64_t wake_rounds = 0;
   std::uint64_t acks = 0;
   std::uint64_t lost_wakeups = 0;
-  // Condsync footprint while all spawned waiters were parked.
-  std::uint64_t registry_bytes = 0;
+  // Condsync footprint (the wake index) while all spawned waiters were
+  // parked.
   std::uint64_t wake_index_bytes = 0;
-  int registry_segments = 0;
   double mem_bytes_per_waiter = 0.0;
   // Timed-wait churn vs the shared wheel.
   std::uint64_t timed_waits = 0;  // kWaitTimeouts delivered

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/condsync/waiter_registry.h"
+#include "src/condsync/wake_index.h"
 #include "src/core/runtime.h"
 #include "src/core/transaction.h"
 
@@ -77,7 +77,7 @@ WakeTrialResult RunWakeIndexTrial(const WakeTrialOptions& opts) {
 
   // Every waiter must be parked before the clock starts, or the trial measures
   // thread startup instead of wake-path cost.
-  while (rt.sys().waiters().RegisteredCount() < waiters) {
+  while (rt.sys().wake_index().RegisteredCount() < waiters) {
     std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
   rt.ResetStats();

@@ -1,16 +1,12 @@
 // The capacity tier's lazily published directory of 256-tid segments.
 //
-// WaiterRegistry, WakeIndex and QuiesceTable each keep per-thread state, and
-// none of them may size a flat slab to max_threads: at the 64Ki default
-// ceiling that is megabytes per domain for a handful of threads. Each instead
-// keeps a SegmentDirectory of its own Block type: a fixed array of atomic
-// pointers, one per 256-tid range, whose entries stay null until a tid of the
-// range first touches the table. Memory then scales with the tid ranges in
-// use, and 10^6 tids cost ~4k directory words up front.
-//
-// One shared geometry keeps the three tables' tid→segment math in lockstep,
-// which is what makes the registry's segment-summary bitmap a valid iteration
-// mask for the wake index (WakeIndex::ForEachCandidateIn).
+// WakeIndex and QuiesceTable each keep per-thread state, and neither may size
+// a flat slab to max_threads: at the 64Ki default ceiling that is megabytes
+// per domain for a handful of threads. Each instead keeps a SegmentDirectory
+// of its own Block type: a fixed array of atomic pointers, one per 256-tid
+// range, whose entries stay null until a tid of the range first touches the
+// table. Memory then scales with the tid ranges in use, and 10^6 tids cost
+// ~4k directory words up front.
 //
 // Publication is the [seg-publish] edge (glossary in
 // src/condsync/wake_index.h), implemented only here: Ensure builds a block

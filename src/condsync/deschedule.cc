@@ -3,22 +3,21 @@
 // Deschedule(f, p): roll back, double-check f(p) inside a registration
 // transaction, publish ⟨f, p⟩, sleep, and on wakeup restart the whole transaction.
 //
-// Registration is dual. Every waiter sets its presence bit in the
-// WaiterRegistry (the writer's "anyone waiting at all?" fast path). Waiters
-// whose predicate is the value-based findChanges additionally index themselves
-// in the sharded WakeIndex under the orec of each waitset address, so a
-// committing writer wake-checks only the waiters its write set could have
-// satisfied; arbitrary-predicate waiters land on the index's global fallback
-// list, which every writer still visits. See wake_index.h for the
-// no-lost-wakeup argument, and the comment on WakeWaiters below for why it
-// survives batching the wake checks into shared wake transactions.
+// Registration writes one table, the WakeIndex. Waiters whose predicate is
+// the value-based findChanges index themselves under the orec of each waitset
+// address, so a committing writer wake-checks only the waiters its write set
+// could have satisfied; arbitrary-predicate waiters land on the index's global
+// fallback list, which every writer still visits. Either entry also sets the
+// waiter's presence bit, which the writer's "anyone waiting at all?" peek
+// reads. See wake_index.h for the no-lost-wakeup argument, and the comment on
+// WakeWaiters below for why it survives batching the wake checks into shared
+// wake transactions.
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "src/condsync/waiter_registry.h"
 #include "src/condsync/wake_index.h"
 #include "src/obs/trace.h"
 #include "src/tm/tm_system.h"
@@ -73,14 +72,14 @@ void TmSystem::DescheduleImpl(WaitPredFn fn, const WaitArgs& args, bool timed) {
   // remains (allocations the waitset points into are kept alive until wakeup).
   RollbackForDeschedule(d);
 
-  WaiterSlot& slot = waiters_->slot(d.tid);
+  WaiterSlot& slot = wake_index_->slot(d.tid);
   slot.Prepare(fn, args, &d.park);
   // Clear any stale wake-post stamp before this sleep's waker can write a new
   // one (the previous claimer's post — and therefore its stamp — was consumed
   // before this thread could re-deschedule).
   slot.StampWakePost(0);
-  // Index entries and the presence bit must be visible before the registration
-  // transaction can commit; committing writers order their peeks against both
+  // The index entry and presence bit must be visible before the registration
+  // transaction can commit; committing writers order their peeks against them
   // through the clock.
   if (cfg_.targeted_wakeup && ws != nullptr && !ws->Empty()) {
     std::vector<const Orec*>& read_orecs = d.wait_orec_scratch;
@@ -98,8 +97,6 @@ void TmSystem::DescheduleImpl(WaitPredFn fn, const WaitArgs& args, bool timed) {
     wake_index_->AddGlobal(d.tid);
     d.stats.Bump(Counter::kGlobalDeschedules);
   }
-  waiters_->MarkRegistered(d.tid);
-  TCS_PROTO(proto_->OnPresenceMark(d.tid));
 
   // The registration transaction: re-evaluate the precondition and, only if it
   // still fails, publish the slot. Expressing the condition as f(p) means no
@@ -215,10 +212,8 @@ void TmSystem::DescheduleImpl(WaitPredFn fn, const WaitArgs& args, bool timed) {
       }
     }
   }
-  waiters_->UnmarkRegistered(d.tid);
-  TCS_PROTO(proto_->OnPresenceUnmark(d.tid));
-  // Clears this tid's shard and fallback entries alike, so every exit —
-  // wakeup, timeout, and the no-sleep double-check — leaves the index clean.
+  // Clears this tid's entry and presence bit, so every exit — wakeup,
+  // timeout, and the no-sleep double-check — leaves the index clean.
   wake_index_->Remove(d.tid);
 
   d.mem.ReclaimDeferred();
@@ -270,7 +265,7 @@ void TmSystem::DescheduleImpl(WaitPredFn fn, const WaitArgs& args, bool timed) {
 //      the timeout deregistration write `asleep` (so they need this orec),
 //      and the wakeup deregistration can only run after a *claim*, which
 //      needs it too. Holding it with asleep == 1 therefore pins the slot in
-//      its published state — fn/args/sem are frozen (they are rewritten only
+//      its published state — fn/args/park are frozen (they are rewritten only
 //      after asleep returns to 0) and no other waker can claim.
 //   3. Snapshot-evaluate the findChanges predicate seqlock-style: per waitset
 //      entry, sample the covering orec, read the value, re-sample. Equal
@@ -294,7 +289,7 @@ void TmSystem::DescheduleImpl(WaitPredFn fn, const WaitArgs& args, bool timed) {
 // committer's quiescence fence wait for it exactly as it would for a reader
 // transaction.
 TmSystem::CasClaimResult TmSystem::TryCasWakeClaim(TxDesc& d, int waiter_tid) {
-  WaiterSlot& slot = waiters_->slot(waiter_tid);
+  WaiterSlot& slot = wake_index_->slot(waiter_tid);
   // Cheap raw peek before touching any shared cache line exclusively: a
   // candidate already claimed (or never re-registered) needs no claim.
   // mo: relaxed — advisory peek only; the post-CAS acquire re-read decides.
@@ -468,27 +463,19 @@ void TmSystem::WakeWaiters(const std::vector<const Orec*>& write_orecs) {
     // Targeted pass: only the shards this write set covers, plus the global
     // fallback list. Work scales with relevant waiters, not registered ones.
     // The shard-set bitmap is built once into per-thread scratch (reused
-    // commit to commit) via the index's two-phase collect/visit API. The
-    // registry's segment summary — snapshotted repair-stably — masks the
-    // index walk down to segments holding at least one registered waiter:
-    // sound because a waiter's summary bit, like its index entry, is set
-    // before its registration transaction can commit, so any waiter this
-    // commit is obliged to wake has both visible here (see wake_index.h).
+    // commit to commit) via the index's two-phase collect/visit API; the
+    // walk visits only segments its repair-stable summary marks occupied.
     d.wake_shard_scratch.resize(
         static_cast<std::size_t>(wake_index_->shard_words()));
     wake_index_->BuildShardSet(write_orecs.data(), write_orecs.size(),
                                d.wake_shard_scratch.data());
-    d.wake_seg_scratch.resize(
-        static_cast<std::size_t>(waiters_->summary_words()));
-    waiters_->SnapshotSummary(d.wake_seg_scratch.data());
-    wake_index_->ForEachCandidateIn(d.wake_shard_scratch.data(), collect,
-                                    d.wake_seg_scratch.data());
+    wake_index_->ForEachCandidateIn(d.wake_shard_scratch.data(), collect);
   } else {
     // Global scan: targeting disabled, or the write-set snapshot was not taken
     // (no waiter was visible mid-commit; any waiter visible now either
     // registered after this commit serialized — and so re-checked its
     // predicate against our writes — or is covered by this conservative scan).
-    waiters_->ForEachRegistered([&](int tid, WaiterSlot&) { collect(tid); });
+    wake_index_->ForEachRegistered(collect);
   }
 
   // Phase 2: the lock-free claim fast path. The common case — a few disjoint
@@ -531,7 +518,7 @@ void TmSystem::WakeWaiters(const std::vector<const Orec*>& write_orecs) {
       claims.clear();
       checks_this_batch = 0;
       for (std::size_t i = base; i < end; ++i) {
-        WaiterSlot& slot = waiters_->slot(work[i]);
+        WaiterSlot& slot = wake_index_->slot(work[i]);
         if (Read(&slot.active) == 0 || Read(&slot.asleep) == 0) {
           continue;
         }
@@ -576,7 +563,7 @@ void TmSystem::WakeWaiters(const std::vector<const Orec*>& write_orecs) {
       // The token post is an escape action, so it happens strictly after
       // the wake transaction commits (Algorithm 4, line 9).
       TCS_PROTO(proto_->OnWakePost(c.tid));
-      WaiterSlot& claimed = waiters_->slot(c.tid);
+      WaiterSlot& claimed = wake_index_->slot(c.tid);
       if (cfg_.latency_metrics) {
         // Stamp strictly before the post so the waiter's read (after the park
         // returns) observes it via the [park-handoff] edge. Exclusive: this

@@ -1,6 +1,7 @@
-// The wakeup index: a sharded orec→waiter map that lets a committing writer
-// notify only the waiters whose published waitsets its write set could have
-// changed, instead of re-running every registered waiter's predicate.
+// The waiter table: Algorithm 4's `waiters` list, one record per descheduled
+// thread, indexed so that a committing writer notifies only the waiters whose
+// published waitsets its write set could have changed, instead of re-running
+// every registered waiter's predicate.
 //
 // Motivation. Deschedule's wakeWaiters (Algorithm 4) is a scan: every writer
 // commit re-evaluates every registered waiter's waitfunc, so wakeup cost grows
@@ -12,15 +13,38 @@
 // covering a waitset address; a committing writer unions the shards of its
 // commit-time write-set orecs and wake-checks only those candidates.
 //
+// One record per waiter. A waiter owns a WaiterSlot (the transactional
+// `active`/`asleep` words and its published ⟨fn, args⟩), exactly one entry —
+// shard bits, or a bit on the global fallback list — and a presence bit that
+// is set with the entry and cleared with it, so "registered" and "has an
+// entry" are the same fact. Slot state is read and written through the TM
+// itself — registration and wake checks are transactions, exactly as
+// Algorithm 4 presents them — so the TM's conflict detection serializes a
+// waiter's registration against writer commits and closes the lost-wakeup
+// window.
+//
 // Segmented layout (capacity tier). The tid dimension lives in 256-tid
 // segments of a SegmentDirectory (src/common/segment_directory.h); each
-// segment owns its own shard→tid bitmap slab, global-fallback words, and
-// owner-side bookkeeping, so bitmap slabs materialize only for tid ranges
-// that actually wait. Writer scans iterate allocated segments;
-// TmSystem::WakeWaiters narrows that further to segments whose
-// WaiterRegistry summary bit is set (ForEachCandidateIn's segment summary),
-// so a full-capacity index costs a writer popcount(segment mask) segment
-// visits, not a 4096-shard flat walk.
+// segment owns its tids' slots and presence mask, its shard→tid bitmap slab,
+// global-fallback words, and owner-side bookkeeping, so all of it
+// materializes only for tid ranges that actually wait. A top-level *summary*
+// keeps one bit per possibly-occupied segment. A writer that committed must
+// not pay a scan when nobody waits, and at capacity-tier thread counts it
+// must not even pay a walk proportional to max_threads: HasWaiters reads
+// ceil(num_segments/64) summary words, and a candidate walk visits
+// popcount(summary) segments — not every directory entry, and not a
+// 4096-shard flat walk.
+//
+// Summary repair. Clearing a summary bit is the one delicate step: the last
+// waiter leaving a segment races a new waiter entering it, and a writer that
+// reads the summary exactly between the leaver's clear and its repair re-set
+// would miss the newcomer — a lost wakeup, because writers scan once (they are
+// not retrying sleepers). The repair therefore runs under a seqlock:
+// generation goes odd, the bit is cleared (acq_rel), the segment's presence
+// mask is rescanned, the bit is conditionally re-set, generation goes even.
+// Readers that would answer "no waiters" (or skip a segment) validate the
+// generation and retry, pausing between tries; readers that see a set bit
+// may act on it at once — a stale set bit is merely conservative.
 //
 // Shard-set representation. A waiter's shard membership is a per-tid *bitmap*
 // of `shard_words()` 64-bit words (owner-thread-only bookkeeping), so the
@@ -52,15 +76,15 @@
 // with its post issued strictly after commit. deschedule.cc carries the full
 // batched claim/post protocol and its abort/retry reasoning.
 //
-// Publication ordering mirrors the WaiterRegistry presence bitmap: a waiter
-// inserts its index entries (release) *before* its registration transaction
-// begins, and a writer reads shards (acquire) only after its commit's
-// [clock-chain] RMW, so "registration serialized before my commit" implies
-// "I see the entries" — see the [wake-publish] glossary entry below for the
-// full release-sequence argument that let these drop from seq_cst. Segment
-// publication composes with it: the waiter's directory CAS precedes its
-// inserts, so a writer that would see the inserts sees the segment pointer
-// first ([seg-publish]).
+// Publication ordering. A waiter sets its entry, then its presence bit, then
+// its segment's summary bit (each release) *before* its registration
+// transaction begins, and a writer reads them (acquire) only after its
+// commit's [clock-chain] RMW, so "registration serialized before my commit"
+// implies "I see all three" — see the [wake-publish] glossary entry below for
+// the full release-sequence argument that let these drop from seq_cst.
+// Segment publication composes with it: the waiter's directory CAS precedes
+// its inserts, so a writer that would see the inserts sees the segment
+// pointer first ([seg-publish]).
 #ifndef TCS_CONDSYNC_WAKE_INDEX_H_
 #define TCS_CONDSYNC_WAKE_INDEX_H_
 
@@ -72,12 +96,15 @@
 
 #include "src/common/assert.h"
 #include "src/common/cache_line.h"
+#include "src/common/cpu.h"
+#include "src/common/parking_lot.h"
 #include "src/common/segment_directory.h"
+#include "src/common/spin_lock.h"
 #include "src/tm/protocol_checker.h"
+#include "src/tm/tx_desc.h"
+#include "src/tm/word.h"
 
 namespace tcs {
-
-struct Orec;
 
 // ---------------------------------------------------------------------------
 // Appendix: the happens-before edge glossary for `// mo:` annotations.
@@ -143,16 +170,17 @@ struct Orec;
 //                  of [quiesce-dekker]; the *edge* needs only acq_rel.)
 //
 //  [wake-publish]  (minimal: release/acquire)
-//                  The bitmap operations in this file plus the WaiterRegistry
-//                  presence bitmap and its segment-summary mask. A waiter
-//                  inserts entries (release) before its registration
-//                  transaction begins; that transaction writes slot words, so
-//                  its commit performs a [clock-chain] RMW. A committing
-//                  writer's own commit RMW reads the chain, so if the
-//                  registration's RMW precedes the writer's in the clock's
-//                  modification order, the writer's increment synchronizes
-//                  with the registration's and the insert — sequenced before
-//                  it — is visible to the writer's acquire scan (write-read
+//                  The bitmap operations in this file: a waiter's entry
+//                  (shard or global bits), its presence bit and its
+//                  segment's summary bit. A waiter sets all three (release)
+//                  before its registration transaction begins; that
+//                  transaction writes slot words, so its commit performs a
+//                  [clock-chain] RMW. A committing writer's own commit RMW
+//                  reads the chain, so if the registration's RMW precedes
+//                  the writer's in the clock's modification order, the
+//                  writer's increment synchronizes with the registration's
+//                  and the insert — sequenced before it — is visible to the
+//                  writer's acquire scan (write-read
 //                  coherence: a load ordered after the insert by
 //                  happens-before cannot read an older bitmap word). If
 //                  instead the writer's RMW serializes first, the
@@ -172,12 +200,13 @@ struct Orec;
 //                  Either leg orders waiter inserts and the writer's scan
 //                  without the clock chain, so the release/acquire bitmap
 //                  endpoints stay sufficient on this path too.
-//                  The registry's summary mask adds one wrinkle: clearing a
-//                  summary bit when a segment drains races a concurrent
-//                  re-registration, so the clear runs under a seqlock-guarded
-//                  repair (clear, rescan the segment mask, conditionally
-//                  re-set) and readers retry odd/changed generations — see
-//                  WaiterRegistry::HasWaiters for the interleaving argument.
+//                  The summary adds one wrinkle: clearing a summary bit when
+//                  a segment drains races a concurrent registration, so the
+//                  clear runs under a seqlock-guarded repair (clear, rescan
+//                  the segment's presence mask, conditionally re-set) and
+//                  readers retry odd/changed generations — see
+//                  WakeIndex::HasWaiters and RepairSummary for the
+//                  interleaving argument.
 //
 //  [serial-token]  (minimal: seq_cst)
 //                  sim-HTM's Dekker pair: each committer's per-thread
@@ -241,7 +270,7 @@ struct Orec;
 //  [seg-publish]   (minimal: release/acquire)
 //                  Lazy publication of 256-tid segment blocks, implemented
 //                  once in SegmentDirectory (src/common/segment_directory.h)
-//                  for the WaiterRegistry, WakeIndex and QuiesceTable: Ensure
+//                  for the WakeIndex and the QuiesceTable: Ensure
 //                  builds the block, then installs its pointer with a
 //                  release (acq_rel) directory CAS; Get and ForEach load
 //                  entries with acquire. The pairing guarantees a reader
@@ -249,10 +278,9 @@ struct Orec;
 //                  null entry is itself information — "no tid of this range
 //                  ever registered" — so scans skip null segments without
 //                  ordering. Losing CAS racers delete their unpublished block
-//                  and adopt the winner's; the registry's and the index's
-//                  on_publish hooks report to the protocol checker's
-//                  OnSegmentPublished, which asserts each index is published
-//                  at most once per structure.
+//                  and adopt the winner's; the index's on_publish hook
+//                  reports to the protocol checker's OnSegmentPublished,
+//                  which asserts each segment is published at most once.
 //                  QuiesceTable's walks go one step further and stop at the
 //                  registered-tid bound, not at the last published segment:
 //                  the same "sequenced before the owner's first seq_cst
@@ -297,6 +325,47 @@ struct Orec;
 //                  the token itself, never timing data.
 // ---------------------------------------------------------------------------
 
+struct alignas(kCacheLineBytes) WaiterSlot {
+  // Transactional words, accessed through TmSystem::Read/Write only.
+  TmWord active = 0;
+  TmWord asleep = 0;
+
+  // Published with plain stores before the registration transaction commits; the
+  // commit's release ordering makes them visible to any waker that observes
+  // active == 1 transactionally.
+  WaitPredFn fn = nullptr;
+  WaitArgs args;
+  ParkSpot* park = nullptr;
+
+  // Wake-latency handshake (observability): the claiming waker stamps the post
+  // time just before posting the wake token; the waiter reads it right after
+  // its park returns. Exclusivity comes from the claim protocol (the
+  // transactional asleep 1→0 admits exactly one waker per sleep) and the value
+  // rides the [park-handoff] token edge; atomic_ref keeps the cross-thread
+  // access tear-free.
+  std::uint64_t wake_post_ns = 0;
+
+  void StampWakePost(std::uint64_t ns) {
+    // mo: relaxed — ordering comes from the [park-handoff] edge (the token
+    // post happens-before the waiter's token consumption); this store only
+    // needs atomicity.
+    std::atomic_ref<std::uint64_t>(wake_post_ns)
+        .store(ns, std::memory_order_relaxed);
+  }
+  std::uint64_t LoadWakePost() const {
+    // mo: relaxed — read after the park returned; the [park-handoff] edge
+    // already orders the waker's stamp before this load.
+    return std::atomic_ref<const std::uint64_t>(wake_post_ns)
+        .load(std::memory_order_relaxed);
+  }
+
+  void Prepare(WaitPredFn f, const WaitArgs& a, ParkSpot* s) {
+    fn = f;
+    args = a;
+    park = s;
+  }
+};
+
 class WakeIndex {
  public:
   // Hard ceiling on the shard count. The writer-side scratch shard set is a
@@ -329,6 +398,12 @@ class WakeIndex {
                             (64 - shards_log2_));
   }
 
+  // The slot for `tid`, allocating its segment on first touch. Writers may
+  // call this for candidate tids; the directory resolves any race.
+  WaiterSlot& slot(int tid) {
+    return EnsureSegment(tid >> kSegmentShift).slots[tid & (kSegmentSize - 1)];
+  }
+
   // Waiter side. All three calls for a given tid are made by the owning thread
   // only, before its registration transaction (Add*) or after deregistering
   // (Remove); tid reuse across threads is ordered by descriptor recycling.
@@ -342,7 +417,8 @@ class WakeIndex {
       AddGlobal(tid);
       return;
     }
-    IndexSegment& seg = EnsureSegment(tid >> kSegmentShift);
+    const int si = tid >> kSegmentShift;
+    IndexSegment& seg = EnsureSegment(si);
     const int rel = tid & (kSegmentSize - 1);
     std::uint64_t* set = PerTidShards(seg, rel);
     BuildShardSet(orecs, n, set);
@@ -356,49 +432,62 @@ class WakeIndex {
       // the scan's acquire when the scan reads-from this very insert.
       ShardWord(seg, s, w).fetch_or(bit, std::memory_order_release);
     });
+    MarkPresent(seg, si, rel);
     TCS_PROTO(if (checker_ != nullptr) checker_->OnWakeRegister(tid, true));
   }
 
   // Registers tid on the global fallback list (predicate with no address list:
   // every committing writer must consider it).
   void AddGlobal(int tid) {
-    IndexSegment& seg = EnsureSegment(tid >> kSegmentShift);
+    const int si = tid >> kSegmentShift;
+    IndexSegment& seg = EnsureSegment(si);
     const int rel = tid & (kSegmentSize - 1);
-    seg.per_tid_global[rel] = 1;
     // mo: release — [wake-publish]: same release-sequence argument as the
     // shard insert in AddIndexed; the global list is scanned by every writer.
     seg.global[rel / 64].fetch_or(std::uint64_t{1} << (rel % 64),
                                   std::memory_order_release);
+    MarkPresent(seg, si, rel);
     TCS_PROTO(if (checker_ != nullptr) checker_->OnWakeRegister(tid, false));
   }
 
-  // Clears every entry tid holds, indexed or global — exactly what the
-  // bookkeeping says the owner added, nothing else. Idempotent, so the single
-  // deregistration point covers wakeup, timeout, and the no-sleep double-check
-  // path alike — a timed wait that expires leaves nothing behind.
-  void Remove(int tid) {
-    TCS_PROTO(if (checker_ != nullptr) checker_->OnWakeDeregister(tid));
-    IndexSegment* seg = segments_.Get(tid >> kSegmentShift);
-    if (seg == nullptr) {
-      return;  // Never registered: nothing to clear.
-    }
-    const int rel = tid & (kSegmentSize - 1);
-    std::uint64_t* set = PerTidShards(*seg, rel);
-    const std::uint64_t clear = ~(std::uint64_t{1} << (rel % 64));
-    const int w = rel / 64;
-    ForEachShardIn(set, [&](int s) {
-      // mo: relaxed — [wake-publish] rider: per-word coherence already
-      // keeps insert/clear RMWs on one bitmap word totally ordered, and a
-      // scan that reads the pre-clear value only produces a spurious
-      // candidate, which the transactional wake check rejects (asleep==0).
-      ShardWord(*seg, s, w).fetch_and(clear, std::memory_order_relaxed);
-    });
-    std::fill_n(set, shard_words_, 0);
-    if (seg->per_tid_global[rel] != 0) {
-      seg->per_tid_global[rel] = 0;
-      // mo: relaxed — [wake-publish] rider: same spurious-candidate argument
-      // as the shard clear above.
-      seg->global[w].fetch_and(clear, std::memory_order_relaxed);
+  // Clears tid's entry, indexed or global, and its presence bit — exactly
+  // what the bookkeeping says the owner added, nothing else. Idempotent, so
+  // the single deregistration point covers wakeup, timeout, and the no-sleep
+  // double-check path alike — a timed wait that expires leaves nothing
+  // behind. The last waiter to leave a segment repairs its summary bit.
+  void Remove(int tid);
+
+  // Conservative "anyone possibly waiting?" peek for the writer fast path:
+  // a summary-word scan, independent of max_threads. A set bit may return
+  // true immediately (stale set bits are conservative — the transactional
+  // wake check rejects the candidates); an all-zero scan is only trusted if
+  // no summary repair overlapped it, because a repair transiently clears a
+  // bit it may be about to re-set (see RepairSummary).
+  bool HasWaiters() const {
+    for (int spins = 0;; PauseForRepair(spins)) {
+      // mo: acquire — [wake-publish] rider: seqlock generation pre-read; the
+      // summary word loads below carry the edge, this read only brackets
+      // them for the all-zero validation.
+      std::uint64_t g1 = repair_gen_.load(std::memory_order_acquire);
+      for (int w = 0; w < summary_words_; ++w) {
+        // mo: acquire — [wake-publish]: the peek runs after the writer's
+        // commit RMW on the version clock; [clock-chain]'s release sequence
+        // carries the waiter's release summary set (sequenced before its
+        // registration commit) to this load, closing the lost-wakeup window.
+        // Reading a repair's transient clear (an acq_rel RMW) instead
+        // synchronizes with the repair, forcing the generation re-read below
+        // to observe its odd generation and retry.
+        if (summary_[w].load(std::memory_order_acquire) != 0) {
+          return true;
+        }
+      }
+      // mo: relaxed — [wake-publish] rider: seqlock validation re-read,
+      // ordered after the summary loads by their acquire; it observes an
+      // odd/advanced generation iff a repair's transient clear could have
+      // hidden a bit from this scan.
+      if (repair_gen_.load(std::memory_order_relaxed) == g1 && (g1 & 1) == 0) {
+        return false;
+      }
     }
   }
 
@@ -423,27 +512,15 @@ class WakeIndex {
   // Invokes fn(tid) for every candidate of a prebuilt shard set — each
   // waiter registered under a covered shard, then each global-fallback
   // waiter, ascending tid within each pass. Zero allocation; cost is
-  // O(allocated segments × (1 + distinct shards touched)).
-  //
-  // A non-null `seg_summary` (one bit per segment: a
-  // WaiterRegistry::SnapshotSummary copy) restricts the walk to segments
-  // whose bit is set. Sound because a waiter's index insert and its registry
-  // MarkRegistered both precede its registration commit: any waiter a
-  // writer's commit serialized after has its summary bit set in a stable
-  // snapshot, so an unset bit — or a null index segment — proves no relevant
-  // waiter, never hides one.
+  // O(summary words + occupied segments × (1 + distinct shards touched)).
+  // Each pass walks the set bits of a repair-stable summary snapshot: any
+  // waiter a writer's commit serialized after has its summary bit set in
+  // such a snapshot ([wake-publish] + the seqlock retry), so an unset bit
+  // proves no relevant waiter, never hides one.
   template <typename Fn>
-  void ForEachCandidateIn(const std::uint64_t* shard_set, Fn&& fn,
-                          const std::uint64_t* seg_summary = nullptr) {
-    auto in_summary = [&](int si) {
-      return seg_summary == nullptr ||
-             (seg_summary[si >> 6] & (std::uint64_t{1} << (si & 63))) != 0;
-    };
+  void ForEachCandidateIn(const std::uint64_t* shard_set, Fn&& fn) {
     // Pass 1: shard-indexed candidates.
-    segments_.ForEach([&](int si, IndexSegment& seg) {
-      if (!in_summary(si)) {
-        return;
-      }
+    ForEachOccupiedSegment([&](int si, IndexSegment& seg) {
       for (int w = 0; w < kSegmentWords; ++w) {
         std::uint64_t cand = 0;
         ForEachShardIn(shard_set, [&](int s) {
@@ -456,10 +533,7 @@ class WakeIndex {
       }
     });
     // Pass 2: global-fallback candidates.
-    segments_.ForEach([&](int si, IndexSegment& seg) {
-      if (!in_summary(si)) {
-        return;
-      }
+    ForEachOccupiedSegment([&](int si, IndexSegment& seg) {
       for (int w = 0; w < kSegmentWords; ++w) {
         // mo: acquire — [wake-publish]: pairs with the waiter's release
         // insert in AddGlobal, same clock-chain argument as the shard scan.
@@ -493,31 +567,48 @@ class WakeIndex {
     ForEachCandidateIn(shard_set, std::forward<Fn>(fn));
   }
 
+  // Invokes fn(tid) for every possibly-registered tid, ascending: the
+  // paper's global scan, for a writer whose write set is unknown. Iterates
+  // allocated segments directly (presence masks, not the summary), so it
+  // never depends on summary-repair timing.
+  template <typename Fn>
+  void ForEachRegistered(Fn&& fn) {
+    segments_.ForEach([&](int si, IndexSegment& seg) {
+      for (int w = 0; w < kSegmentWords; ++w) {
+        // mo: acquire — [wake-publish]: the writer-side scan runs after the
+        // commit's [clock-chain] RMW, whose release sequence carries every
+        // registration's release presence set to this load.
+        std::uint64_t tids = seg.present[w].load(std::memory_order_acquire);
+        EmitTids((si << kSegmentShift) + w * 64, tids, fn);
+      }
+    });
+  }
+
   // --- introspection (tests, leak checks, metrics) ---
 
-  // True if tid holds any entry, indexed or global.
-  bool HasEntries(int tid) const {
+  // True iff tid's presence bit is set, i.e. it holds an entry.
+  bool IsRegistered(int tid) const {
     const IndexSegment* seg = segments_.Get(tid >> kSegmentShift);
     if (seg == nullptr) {
       return false;
     }
     const int rel = tid & (kSegmentSize - 1);
-    if (seg->per_tid_global[rel] != 0) {
-      return true;
-    }
-    const std::uint64_t* set = PerTidShards(*seg, rel);
-    for (int sw = 0; sw < shard_words_; ++sw) {
-      if (set[sw] != 0) {
-        return true;
-      }
-    }
-    return false;
+    // mo: acquire — [wake-publish]: test assertions run after a join or a
+    // committed transition they arranged themselves; acquire pairs with the
+    // release presence set and per-word coherence covers the clear.
+    return (seg->present[rel / 64].load(std::memory_order_acquire) &
+            (std::uint64_t{1} << (rel % 64))) != 0;
   }
 
   bool IsGlobal(int tid) const {
     const IndexSegment* seg = segments_.Get(tid >> kSegmentShift);
-    return seg != nullptr &&
-           seg->per_tid_global[tid & (kSegmentSize - 1)] != 0;
+    if (seg == nullptr) {
+      return false;
+    }
+    const int rel = tid & (kSegmentSize - 1);
+    // mo: acquire — [wake-publish]: same pairing as IsRegistered.
+    return (seg->global[rel / 64].load(std::memory_order_acquire) &
+            (std::uint64_t{1} << (rel % 64))) != 0;
   }
 
   // Number of distinct shards tid registered under.
@@ -544,24 +635,27 @@ class WakeIndex {
     return (set[s >> 6] & (std::uint64_t{1} << (s & 63))) != 0;
   }
 
-  // Conservative count of tids present in shard `s` / on the global list.
-  // Precondition for an exact answer: the caller must externally order every
-  // concurrent Add*/Remove before the call (join the waiter threads, or
-  // otherwise sequence a barrier) — the loads are acquire, so a count taken
-  // mid-run is stale-but-ordered at best, and nothing here enforces the
-  // precondition. Tests and post-join leak checks satisfy it; do not assert
-  // on these from in-flight threads.
+  // Conservative count of tids present in shard `s` / on the global list /
+  // registered at all. Precondition for an exact answer: the caller must
+  // externally order every concurrent Add*/Remove before the call (join the
+  // waiter threads, or otherwise sequence a barrier) — the loads are
+  // acquire, so a count taken mid-run is stale-but-ordered at best, and
+  // nothing here enforces the precondition. Tests, park barriers and
+  // post-join leak checks satisfy it or poll until it holds.
   int ShardPopulation(int s) const;
   int GlobalPopulation() const;
+  int RegisteredCount() const;
 
-  // True iff no shard and no global word holds any bit (leak detector). Same
-  // precondition as the population accessors: only meaningful once every
-  // waiter thread's final Remove has been ordered before this call (thread
-  // join); a mid-run call may race registrations and flicker.
+  // True iff no presence, shard or global word holds any bit (leak
+  // detector). Same precondition as the population accessors: only
+  // meaningful once every waiter thread's final Remove has been ordered
+  // before this call (thread join); a mid-run call may race registrations
+  // and flicker.
   bool Empty() const;
 
-  // Bytes currently committed to this index: the directory plus every
-  // allocated segment's slabs. Feeds the memory-per-waiter metric.
+  // Bytes currently committed to this table: the directory, the summary and
+  // every allocated segment's block and slabs. Feeds the memory-per-waiter
+  // metric.
   std::size_t FootprintBytes() const;
 
   // Number of segments with an allocated control block.
@@ -570,11 +664,13 @@ class WakeIndex {
  private:
   static constexpr int kMaxShardWords = kMaxShards / 64;
 
-  // One 256-tid segment control block: a shard-major bitmap slab (shard s,
-  // word w at bits[s * kSegmentWords + w]), the segment's global-fallback
-  // words, and owner-thread bookkeeping. Adjacent shards share cache lines
-  // within a segment — benign, because cross-thread traffic on one segment
-  // is already bounded to its 256 tids and the flat layout keeps the slab ~8x
+  // One 256-tid segment control block. The first cache line holds the
+  // presence and global-fallback words, which registrations write and writer
+  // scans read; then the shard-major bitmap slab (shard s, word w at
+  // bits[s * kSegmentWords + w]) and owner-thread bookkeeping, then the slot
+  // array, each slot cache-line aligned. Adjacent shards share cache lines
+  // within the slab — benign, because cross-thread traffic on one segment is
+  // already bounded to its 256 tids and the flat layout keeps the slab ~8x
   // smaller than per-shard line padding would. Every word starts zero.
   struct alignas(kCacheLineBytes) IndexSegment {
     IndexSegment(int num_shards, int shard_words)
@@ -583,14 +679,81 @@ class WakeIndex {
           per_tid_shards(std::make_unique<std::uint64_t[]>(
               static_cast<std::size_t>(kSegmentSize) * shard_words)) {}
 
-    std::unique_ptr<std::atomic<std::uint64_t>[]> bits;
+    std::atomic<std::uint64_t> present[kSegmentWords]{};
     std::atomic<std::uint64_t> global[kSegmentWords]{};
-    // Owner-thread-only bookkeeping of what each tid registered (one
+    std::unique_ptr<std::atomic<std::uint64_t>[]> bits;
+    // Owner-thread-only bookkeeping of each tid's shard set (one
     // shard_words_-word bitmap per tid), so Remove can clear exactly those
-    // entries without scanning all shards.
+    // entries without scanning all shards. Empty for a global waiter.
     std::unique_ptr<std::uint64_t[]> per_tid_shards;
-    std::uint8_t per_tid_global[kSegmentSize]{};
+    WaiterSlot slots[kSegmentSize];
   };
+
+  // Pause between seqlock retries, yielding after a bound: a repairer
+  // preempted with an odd generation needs the CPU back to finish, which
+  // committing writers spinning here would otherwise take (SpinLock::Lock
+  // backs off the same way).
+  static constexpr int kRepairSpinLimit = 128;
+  static void PauseForRepair(int& spins) {
+    if (++spins < kRepairSpinLimit) {
+      CpuRelax();
+    } else {
+      CpuYield();
+      spins = 0;
+    }
+  }
+
+  // Summary word `sw` as read while no repair's transient clear could be
+  // visible.
+  std::uint64_t StableSummaryWord(int sw) const {
+    for (int spins = 0;; PauseForRepair(spins)) {
+      // mo: acquire — [wake-publish] rider: seqlock generation pre-read
+      // (see HasWaiters).
+      std::uint64_t g1 = repair_gen_.load(std::memory_order_acquire);
+      if ((g1 & 1) != 0) {
+        continue;  // Repair in flight; its transient clear may be visible.
+      }
+      // mo: acquire — [wake-publish]: same pairing as HasWaiters' scan.
+      std::uint64_t word = summary_[sw].load(std::memory_order_acquire);
+      // mo: relaxed — [wake-publish] rider: seqlock validation re-read,
+      // ordered after the word load by its acquire (see HasWaiters).
+      if (repair_gen_.load(std::memory_order_relaxed) == g1) {
+        return word;
+      }
+    }
+  }
+
+  // Calls fn(si, seg) for every segment whose bit is set in a repair-stable
+  // summary snapshot, ascending.
+  template <typename Fn>
+  void ForEachOccupiedSegment(Fn&& fn) {
+    for (int sw = 0; sw < summary_words_; ++sw) {
+      for (std::uint64_t segs = StableSummaryWord(sw); segs != 0;
+           segs &= segs - 1) {
+        const int si = sw * 64 + __builtin_ctzll(segs);
+        if (IndexSegment* seg = segments_.Get(si)) {
+          fn(si, *seg);
+        }
+      }
+    }
+  }
+
+  // Sets tid's presence bit, then its segment's summary bit.
+  void MarkPresent(IndexSegment& seg, int si, int rel) {
+    // mo: release — [wake-publish]: the presence set follows the entry and
+    // precedes the registration transaction's [clock-chain] RMW in program
+    // order, like the entry itself.
+    seg.present[rel / 64].fetch_or(std::uint64_t{1} << (rel % 64),
+                                   std::memory_order_release);
+    // mo: release — [wake-publish]: the summary bit follows the presence bit
+    // and precedes the registration commit the same way; a racing summary
+    // repair that clears it synchronizes with this RMW through the summary
+    // word and re-sets it after rescanning the presence mask set above.
+    summary_[si / 64].fetch_or(std::uint64_t{1} << (si % 64),
+                               std::memory_order_release);
+  }
+
+  void RepairSummary(int si, const IndexSegment& seg);
 
   // Calls f(s) for every shard s in a shard_words()-word shard set.
   template <typename F>
@@ -621,14 +784,12 @@ class WakeIndex {
     return &seg.per_tid_shards[static_cast<std::size_t>(rel) * shard_words_];
   }
 
-  // The segment's control block, built and published on first touch (waiter
-  // side).
+  // The segment's control block, built and published on first touch.
   IndexSegment& EnsureSegment(int si) {
     return segments_.Ensure(
         si,
         [&] {
-          TCS_PROTO(if (checker_ != nullptr) checker_->OnSegmentPublished(
-                        ProtocolChecker::SegmentKind::kWakeIndex, si));
+          TCS_PROTO(if (checker_ != nullptr) checker_->OnSegmentPublished(si));
         },
         num_shards_, shard_words_);
   }
@@ -637,6 +798,15 @@ class WakeIndex {
   int shards_log2_;
   int shard_words_;
   SegmentDirectory<IndexSegment> segments_;
+  const int summary_words_;
+  // One bit per possibly-occupied segment; cleared only under the seqlock
+  // repair.
+  const std::unique_ptr<std::atomic<std::uint64_t>[]> summary_;
+  // Seqlock generation for summary repairs: odd while a repair's transient
+  // clear may be visible. repair_lock_ serializes repairs so odd/even stays
+  // meaningful under concurrent drains of different segments.
+  std::atomic<std::uint64_t> repair_gen_{0};
+  SpinLock repair_lock_;
   ProtocolChecker* checker_ = nullptr;
 };
 

@@ -37,15 +37,9 @@ ProtocolChecker::ProtocolChecker(const OrecTable& orecs, int max_threads)
   orec_shadow_ = std::make_unique<OrecShadow[]>(orecs.size());
   tid_shadow_ =
       std::make_unique<TidShadow[]>(static_cast<std::size_t>(max_threads));
-  for (auto& shadow : segment_shadow_) {
-    shadow = std::make_unique<std::atomic<std::uint64_t>[]>(
-        static_cast<std::size_t>(segment_shadow_words_));
-    for (int w = 0; w < segment_shadow_words_; ++w) {
-      // mo: relaxed — single-threaded construction; the checker is attached
-      // before worker threads start.
-      shadow[w].store(0, std::memory_order_relaxed);
-    }
-  }
+  // Value-initialized: every segment starts unpublished.
+  segment_shadow_ = std::make_unique<std::atomic<std::uint64_t>[]>(
+      static_cast<std::size_t>(segment_shadow_words_));
 }
 
 void ProtocolChecker::SetFailureHandler(FailureHandler handler, void* ctx) {
@@ -245,25 +239,6 @@ void ProtocolChecker::OnWakeDeregister(int tid) {
   t.wake_owner.store(0, std::memory_order_relaxed);
 }
 
-// --- WaiterRegistry presence-bit balance ---
-
-void ProtocolChecker::OnPresenceMark(int tid) {
-  TidShadow& t = TidOf(tid, "presence");
-  // mo: relaxed RMW — atomicity only; Mark/Unmark are owner-thread-only, so
-  // the exchange just makes a (buggy) concurrent double-mark deterministic.
-  if (t.presence.exchange(1, std::memory_order_relaxed) != 0) {
-    Fail("presence", "tid %d MarkRegistered while already marked", tid);
-  }
-}
-
-void ProtocolChecker::OnPresenceUnmark(int tid) {
-  TidShadow& t = TidOf(tid, "presence");
-  // mo: relaxed RMW — same argument as OnPresenceMark.
-  if (t.presence.exchange(0, std::memory_order_relaxed) != 1) {
-    Fail("presence", "tid %d UnmarkRegistered while not marked", tid);
-  }
-}
-
 // --- batched wake claim/post pairing ---
 
 void ProtocolChecker::OnWakeClaimCommitted(int waiter_tid) {
@@ -314,28 +289,25 @@ void ProtocolChecker::OnWakePost(int waiter_tid) {
 
 // --- segment publication balance ---
 
-void ProtocolChecker::OnSegmentPublished(SegmentKind kind, int index) {
-  const char* name =
-      kind == SegmentKind::kWaiterRegistry ? "waiter-registry" : "wake-index";
+void ProtocolChecker::OnSegmentPublished(int index) {
   const int max_segments = SegmentCount(max_threads_);
   if (index < 0 || index >= max_segments) {
-    Fail("segment-publish", "%s published segment %d outside [0, %d)", name,
+    Fail("segment-publish", "wake-index published segment %d outside [0, %d)",
          index, max_segments);
     return;
   }
-  auto& shadow = segment_shadow_[static_cast<int>(kind)];
   const std::uint64_t bit = std::uint64_t{1} << (index % 64);
   // mo: relaxed RMW — atomicity only: publication attempts are already
   // serialized by the directory's [seg-publish] CAS (exactly one winner per
   // entry calls this hook); the exchange just makes a buggy double-publish
   // deterministic.
   std::uint64_t prev =
-      shadow[index / 64].fetch_or(bit, std::memory_order_relaxed);
+      segment_shadow_[index / 64].fetch_or(bit, std::memory_order_relaxed);
   if ((prev & bit) != 0) {
     Fail("segment-publish",
-         "%s published segment %d twice (directory entry overwritten or a "
-         "losing CAS racer reported publication)",
-         name, index);
+         "wake-index published segment %d twice (directory entry overwritten "
+         "or a losing CAS racer reported publication)",
+         index);
   }
 }
 

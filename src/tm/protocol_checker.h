@@ -27,18 +27,17 @@
 //  * WakeIndex registration balance — each tid's Add (indexed or global) and
 //    Remove alternate strictly, and Remove runs on the thread that performed
 //    the Add (the owner-thread-only contract wake_index.h documents; violating
-//    it makes the owner-side bookkeeping a data race).
-//  * WaiterRegistry presence-bit balance — MarkRegistered/UnmarkRegistered
-//    alternate strictly per tid.
+//    it makes the owner-side bookkeeping a data race). A waiter's presence
+//    bit is set by the Add and cleared by the Remove, so this balance covers
+//    it too.
 //  * Wake claim/post pairing — a waiter slot claimed by a committed wake batch
 //    (the transactional asleep 1→0 transition in deschedule.cc) is posted
 //    exactly once, and a wake-path post never happens without a committed
 //    claim. A violation here IS a double or lost wakeup.
 //  * Segment publication balance — each 256-tid segment control block of the
-//    segmented WaiterRegistry / WakeIndex is published at most once (the
-//    [seg-publish] CAS admits one winner; a double report means a lost CAS
-//    racer leaked its block into the directory or a directory entry was
-//    overwritten).
+//    segmented WakeIndex is published at most once (the [seg-publish] CAS
+//    admits one winner; a double report means a lost CAS racer leaked its
+//    block into the directory or a directory entry was overwritten).
 //  * Quiescence scan bound — a thread publishes its quiesce slot only below
 //    the QuiesceTable's registered-tid bound. The commit-path walks stop at
 //    that bound, so a slot above it is one no writer commit waits for: a
@@ -128,10 +127,6 @@ class ProtocolChecker {
   void OnWakeRegister(int tid, bool indexed);
   void OnWakeDeregister(int tid);
 
-  // --- WaiterRegistry presence-bit balance ---
-  void OnPresenceMark(int tid);
-  void OnPresenceUnmark(int tid);
-
   // --- batched wake claim/post pairing (deschedule.cc) ---
   // Called once per claim after the claiming wake transaction COMMITS (claims
   // of an aborted batch die with it and must not be reported).
@@ -145,16 +140,10 @@ class ProtocolChecker {
   // token (ParkingLot::Post).
   void OnWakePost(int waiter_tid);
 
-  // --- segment publication balance (segmented registry / wake index) ---
-  // Which segmented structure published a segment control block.
-  enum class SegmentKind : int {
-    kWaiterRegistry = 0,
-    kWakeIndex = 1,
-  };
+  // --- segment publication balance (segmented wake index) ---
   // Called by the thread whose directory CAS won, immediately after the CAS.
-  // Each (kind, index) pair may be published at most once per structure
-  // lifetime.
-  void OnSegmentPublished(SegmentKind kind, int index);
+  // Each segment index may be published at most once per index lifetime.
+  void OnSegmentPublished(int index);
 
   // --- quiescence scan bound (src/tm/quiesce.h) ---
   // Called immediately before QuiesceTable::SetActive publishes `tid`'s slot,
@@ -177,7 +166,6 @@ class ProtocolChecker {
     std::atomic<std::uint64_t> last_clock{0};
     std::atomic<std::uint64_t> wake_owner{0};  // hashed thread id, 0 = none
     std::atomic<int> wake_state{0};            // 0 none, 1 indexed, 2 global
-    std::atomic<int> presence{0};
     // mo: relaxed RMW — claim (waker) and post (same waker, after commit) are
     // same-thread; a different waker can only claim after the waiter consumed
     // the post and re-registered, a chain ordered by the [park-handoff] token
@@ -194,9 +182,9 @@ class ProtocolChecker {
   const int segment_shadow_words_;
   std::unique_ptr<OrecShadow[]> orec_shadow_;
   std::unique_ptr<TidShadow[]> tid_shadow_;
-  // One published-bit per (kind, segment index); set via relaxed RMW (the
+  // One published-bit per segment index; set via relaxed RMW (the
   // publishing CAS already serializes publication attempts).
-  std::unique_ptr<std::atomic<std::uint64_t>[]> segment_shadow_[2];
+  std::unique_ptr<std::atomic<std::uint64_t>[]> segment_shadow_;
 
   std::atomic<std::uint64_t> violations_{0};
   FailureHandler handler_;

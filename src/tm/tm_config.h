@@ -25,10 +25,10 @@ struct TmConfig {
 
   // Maximum number of threads that may ever register with this domain.
   // Registration past it fails loudly (TCS_CHECK in RegisterThread). The
-  // capacity tier makes a large ceiling cheap: waiter-side structures
-  // (WaiterRegistry, WakeIndex, QuiesceTable) allocate 256-thread segments
-  // on first touch, so an unused ceiling costs a few directory words per
-  // 256 tids, not slabs.
+  // capacity tier makes a large ceiling cheap: the per-thread tables
+  // (WakeIndex, QuiesceTable) allocate 256-thread segments on first touch,
+  // so an unused ceiling costs a few directory words per 256 tids, not
+  // slabs.
   int max_threads = 65536;
 
   // Run commit-time quiescence so privatization is safe (Appendix A).

@@ -11,7 +11,6 @@
 #include "src/obs/trace_dump.h"
 #include "src/condsync/retry_orig.h"
 #include "src/condsync/tm_condvar.h"
-#include "src/condsync/waiter_registry.h"
 #include "src/condsync/wake_index.h"
 #include "src/tm/eager_stm.h"
 #include "src/tm/lazy_stm.h"
@@ -74,17 +73,15 @@ TmSystem::TmSystem(const TmConfig& config)
       uid_(g_system_uid.fetch_add(1, std::memory_order_relaxed)) {
   TCS_CHECK_MSG(cfg_.wake_batch_size >= 1, "wake_batch_size must be at least 1");
   descs_.resize(static_cast<std::size_t>(cfg_.max_threads));
-  waiters_ = std::make_unique<WaiterRegistry>(cfg_.max_threads);
   retry_orig_ = std::make_unique<RetryOrigRegistry>(cfg_.max_threads, &lot_);
   wake_index_ =
       std::make_unique<WakeIndex>(cfg_.max_threads, cfg_.wake_index_shards);
   wheel_ = std::make_unique<TimerWheel>(&lot_);
 #if TCS_PROTOCOL_CHECKS
   proto_ = std::make_unique<ProtocolChecker>(orecs_, cfg_.max_threads);
-  // Standalone WakeIndex/WaiterRegistry instances (unit tests) stay unchecked;
-  // only the domain-owned structures participate in the balance protocols.
+  // Standalone WakeIndex instances (unit tests) stay unchecked; only the
+  // domain-owned structures participate in the balance protocols.
   wake_index_->AttachProtocolChecker(proto_.get());
-  waiters_->AttachProtocolChecker(proto_.get());
   quiesce_.AttachProtocolChecker(proto_.get());
 #endif
   std::lock_guard<std::mutex> g(LiveSystemsMutex());
@@ -274,7 +271,7 @@ void TmSystem::Commit() {
       // against the waiter's W(count_)/R(orecs) in WaitForOverlap.
       // seq_cst-required: store-buffering exclusion needs the fence total
       // order ([atomics.fences]); acquire/release cannot forbid both sides
-      // reading pre-update values. (The WaiterRegistry/WakeIndex peeks need no
+      // reading pre-update values. (The WakeIndex peeks need no
       // fence — [wake-publish] rides the [clock-chain] release sequence — but
       // RetryOrig registration performs no clock RMW, hence this Dekker.)
       std::atomic_thread_fence(std::memory_order_seq_cst);
@@ -293,7 +290,7 @@ void TmSystem::Commit() {
           retry_orig_->WakeAllSleepers();
         }
       }
-      if (waiters_->HasWaiters()) {
+      if (wake_index_->HasWaiters()) {
         WakeWaiters(commit_orecs);
       }
     }
@@ -435,7 +432,7 @@ void TmSystem::SnapshotCommitOrecsIfNeeded(TxDesc& d) {
   // waiter is woken conservatively (WakeAllSleepers), and a missed WakeIndex
   // waiter is covered by WakeWaiters' empty-snapshot global scan.
   if (!retry_orig_->HasWaiters() &&
-      !(cfg_.targeted_wakeup && waiters_->HasWaiters())) {
+      !(cfg_.targeted_wakeup && wake_index_->HasWaiters())) {
     return;
   }
   d.commit_orecs.clear();
@@ -449,7 +446,7 @@ void TmSystem::SnapshotCommitOrecsFromUndoIfNeeded(TxDesc& d) {
   // Serial-irrevocable commits hold no orecs; their write set is the undo log.
   // Retry-Orig never runs on the HTM backend, so only the wake index needs the
   // snapshot here.
-  if (d.internal || !(cfg_.targeted_wakeup && waiters_->HasWaiters())) {
+  if (d.internal || !(cfg_.targeted_wakeup && wake_index_->HasWaiters())) {
     return;
   }
   d.commit_orecs.clear();
@@ -862,11 +859,9 @@ TmSystem::ObsSnapshot TmSystem::SnapshotObs(std::size_t top_n_orecs) const {
   for (const auto& [idx, count] : orec_counts) {
     snap.hot_orecs.push_back({idx, count});
   }
-  snap.condsync_registry_bytes = waiters_->FootprintBytes();
   snap.condsync_wake_index_bytes = wake_index_->FootprintBytes();
-  snap.registry_segments = waiters_->AllocatedSegments();
   snap.wake_index_segments = wake_index_->AllocatedSegments();
-  snap.registered_waiters = waiters_->RegisteredCount();
+  snap.registered_waiters = wake_index_->RegisteredCount();
   snap.wheel = wheel_->SnapshotStats();
   return snap;
 }
@@ -918,9 +913,7 @@ void TmSystem::SnapshotMetrics(JsonWriter& w, std::size_t top_n_orecs) const {
   EmitHistogram(w, "wake_latency", snap.wake_latency);
   w.EndObject();
   w.Key("condsync").BeginObject();
-  w.Key("registry_bytes").U64(snap.condsync_registry_bytes);
   w.Key("wake_index_bytes").U64(snap.condsync_wake_index_bytes);
-  w.Key("registry_segments").U64(static_cast<std::uint64_t>(snap.registry_segments));
   w.Key("wake_index_segments")
       .U64(static_cast<std::uint64_t>(snap.wake_index_segments));
   w.Key("registered_waiters")

@@ -40,7 +40,6 @@
 
 namespace tcs {
 
-class WaiterRegistry;
 class RetryOrigRegistry;
 class WakeIndex;
 
@@ -104,7 +103,7 @@ class TmSystem {
   // transaction restarts once more and the call returns kTimedOut from that
   // fresh attempt, leaving the attempt live and committable so the body can
   // take an alternative action atomically. These never return kSatisfied: a
-  // wakeup restarts the body instead. The waiter's registry slot is always
+  // wakeup restarts the body instead. The waiter's wake-index slot is always
   // deregistered before kTimedOut is delivered (no leaked waitset entries).
   // `wait_key` identifies the *call* (Tx passes the call site; AwaitFor derives
   // a key from the address list), so each timed wait arms its own deadline
@@ -179,7 +178,6 @@ class TmSystem {
   // for the batched claim/post protocol).
   void WakeWaiters(const std::vector<const Orec*>& write_orecs);
 
-  WaiterRegistry& waiters() { return *waiters_; }
   RetryOrigRegistry& retry_orig() { return *retry_orig_; }
   WakeIndex& wake_index() { return *wake_index_; }
   QuiesceTable& quiesce() { return quiesce_; }
@@ -223,11 +221,10 @@ class TmSystem {
     std::vector<HotOrec> hot_orecs;
     std::uint64_t hot_orec_overflow = 0;
     // --- capacity tier (segmented condsync structures + timer wheel) ---
-    // Heap footprint of the waiter registry / wake index (directory plus every
-    // allocated segment), and how many 256-tid segments each has materialized.
-    std::uint64_t condsync_registry_bytes = 0;
+    // Heap footprint of the wake index, the domain's one waiter table
+    // (directory, summary and every allocated segment), and how many 256-tid
+    // segments it has materialized.
     std::uint64_t condsync_wake_index_bytes = 0;
-    int registry_segments = 0;
     int wake_index_segments = 0;
     // Currently registered (published) waiters.
     int registered_waiters = 0;
@@ -401,7 +398,6 @@ class TmSystem {
   std::vector<std::unique_ptr<TxDesc>> descs_;
   std::vector<int> free_tids_;
 
-  std::unique_ptr<WaiterRegistry> waiters_;
   std::unique_ptr<RetryOrigRegistry> retry_orig_;
   std::unique_ptr<WakeIndex> wake_index_;
 

@@ -152,7 +152,7 @@ struct TxDesc {
   // once per wake pass into this cached buffer instead of a per-call stack
   // array sized for the maximum shard count.
   std::vector<std::uint64_t> wake_shard_scratch;
-  // Candidate tids collected from the index (or the registry scan) before the
+  // Candidate tids collected from the index (or the global scan) before the
   // batched wake transactions run over them.
   std::vector<int> wake_candidates;
   // Slots the current wake batch tentatively claimed (asleep 1→0 inside the
@@ -173,10 +173,6 @@ struct TxDesc {
   // the domain's registered-tid high-water mark, growing on demand for
   // threads registered mid-pass.
   std::vector<std::uint64_t> wake_seen_scratch;
-  // Repair-stable copy of the registry's segment summary (summary_words()
-  // words), taken once per wake pass and used as the wake index's segment
-  // iteration mask (WakeIndex::ForEachCandidateIn).
-  std::vector<std::uint64_t> wake_seg_scratch;
 
   // --- simulated HTM state ---
   bool htm_serial = false;         // currently executing in serial-irrevocable mode

@@ -3,7 +3,7 @@
 // The increment is an acq_rel RMW: the chain of fetch_adds on the single clock word
 // orders writer commits, which the condition-synchronization layer relies on when a
 // committing writer decides (with plain atomic peeks) whether any waiter slots can
-// be skipped. See WaiterRegistry for the argument.
+// be skipped. See WakeIndex (src/condsync/wake_index.h) for the argument.
 #ifndef TCS_TM_VERSION_CLOCK_H_
 #define TCS_TM_VERSION_CLOCK_H_
 

@@ -1,5 +1,5 @@
 // Capacity-tier tests: 10^4 parked waiters per backend against the segmented
-// registry/index + pooled parking, the max_threads ceiling's loud death, and
+// wake index + pooled parking, the max_threads ceiling's loud death, and
 // timed-wait churn through the shared TimerWheel.
 #include <gtest/gtest.h>
 
@@ -14,7 +14,7 @@
 #include <memory>
 #include <thread>
 
-#include "src/condsync/waiter_registry.h"
+#include "src/condsync/wake_index.h"
 #include "src/core/runtime.h"
 #include "src/core/transaction.h"
 #include "src/tm/tm_system.h"
@@ -135,22 +135,20 @@ void RunManyWaitersPoint(Backend backend, int waiters) {
     ASSERT_TRUE(ok) << "thread creation failed at " << w;
   }
 
-  while (rt.sys().waiters().RegisteredCount() < waiters) {
+  while (rt.sys().wake_index().RegisteredCount() < waiters) {
     std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
 
   TmSystem::ObsSnapshot parked = rt.sys().SnapshotObs();
   EXPECT_EQ(parked.registered_waiters, waiters);
-  EXPECT_GT(parked.condsync_registry_bytes, 0u);
   EXPECT_GT(parked.condsync_wake_index_bytes, 0u);
   const double per_waiter =
-      static_cast<double>(parked.condsync_registry_bytes +
-                          parked.condsync_wake_index_bytes) /
+      static_cast<double>(parked.condsync_wake_index_bytes) /
       static_cast<double>(waiters);
   EXPECT_LT(per_waiter, kMaxCondsyncBytesPerWaiter);
   // Segments materialize on demand: tids run 0..waiters+main, so the segment
   // count must track ceil(tids / 256), not max_threads.
-  EXPECT_LE(parked.registry_segments, (waiters + 16 + 255) / 256);
+  EXPECT_LE(parked.wake_index_segments, (waiters + 16 + 255) / 256);
 
   // Wake a distinct-cell sample; every wake must produce exactly one ack.
   const std::uint64_t rounds =
@@ -175,7 +173,7 @@ void RunManyWaitersPoint(Backend backend, int waiters) {
   pool.JoinAll();
 
   // Leak check: every waiter deregistered on its way out.
-  EXPECT_FALSE(rt.sys().waiters().HasWaiters());
+  EXPECT_FALSE(rt.sys().wake_index().HasWaiters());
   EXPECT_EQ(rt.sys().SnapshotObs().registered_waiters, 0);
   EXPECT_EQ(rt.sys().ProtocolViolations(), 0u);
 }
@@ -193,7 +191,7 @@ TEST(CapacityTest, ManyWaitersHtm) {
 }
 
 // Segment directories grow by appending 256-tid blocks as tids are touched;
-// with ~600 waiters the registry must hold exactly ceil(tids/256) = 3
+// with ~600 waiters the wake index must hold exactly ceil(tids/256) = 3
 // segments, not a max_threads-sized slab.
 TEST(CapacityTest, SegmentsGrowOnDemand) {
   constexpr int kWaiters = 600;
@@ -211,15 +209,14 @@ TEST(CapacityTest, SegmentsGrowOnDemand) {
       });
     }));
   }
-  while (rt.sys().waiters().RegisteredCount() < kWaiters) {
+  while (rt.sys().wake_index().RegisteredCount() < kWaiters) {
     std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
   TmSystem::ObsSnapshot obs = rt.sys().SnapshotObs();
   // tids 0..600 (waiters + the main thread) span three 256-tid segments.
-  EXPECT_EQ(obs.registry_segments, 3);
-  EXPECT_LE(obs.wake_index_segments, 3);
+  EXPECT_EQ(obs.wake_index_segments, 3);
   // The ceiling (4096 tids = 16 segments) was NOT pre-materialized.
-  EXPECT_LT(obs.condsync_registry_bytes + obs.condsync_wake_index_bytes,
+  EXPECT_LT(obs.condsync_wake_index_bytes,
             static_cast<std::uint64_t>(kMaxCondsyncBytesPerWaiter) * kWaiters);
   for (int w = 0; w < kWaiters; ++w) {
     Atomically(rt.sys(), [&](Tx& tx) { tx.Store(cells[w].v, std::uint64_t{1}); });

@@ -12,7 +12,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/condsync/waiter_registry.h"
 #include "src/condsync/wake_index.h"
 #include "src/core/runtime.h"
 #include "src/core/transaction.h"
@@ -106,7 +105,7 @@ TEST_P(CasClaimTest, DisjointWaitersClaimWithoutWakeTransactions) {
     EXPECT_EQ(s.Get(Counter::kWakeups),
               static_cast<std::uint64_t>(n_waiters));
     EXPECT_EQ(s.Get(Counter::kFalseWakeups), 0u);
-    EXPECT_EQ(rt.sys().waiters().RegisteredCount(), 0);
+    EXPECT_EQ(rt.sys().wake_index().RegisteredCount(), 0);
     EXPECT_TRUE(rt.sys().wake_index().Empty());
   }
 }
@@ -149,7 +148,7 @@ TEST_P(CasClaimTest, ArbitraryPredicateWaitersUseTheBatchPath) {
   EXPECT_GE(s.Get(Counter::kCasClaimFallbacks), 1u);
   EXPECT_GE(s.Get(Counter::kWakeBatches), 1u);
   EXPECT_GE(s.Get(Counter::kWakeups), 1u);
-  EXPECT_EQ(rt.sys().waiters().RegisteredCount(), 0);
+  EXPECT_EQ(rt.sys().wake_index().RegisteredCount(), 0);
   EXPECT_TRUE(rt.sys().wake_index().Empty());
 }
 
@@ -159,7 +158,7 @@ TEST_P(CasClaimTest, ArbitraryPredicateWaitersUseTheBatchPath) {
 // churn through timed and untimed parks. Correctness bars: nobody hangs, no
 // false wakeups (a claim of an unsatisfied waiter), exact claim/post balance
 // (enforced fatally by the protocol checker when compiled in), and no leaked
-// registry or index entries.
+// index entries.
 TEST_P(CasClaimTest, FastAndBatchedClaimsRaceUnderChurn) {
   constexpr int kWaiters = 8;
   constexpr int kWriters = 4;
@@ -236,7 +235,7 @@ TEST_P(CasClaimTest, FastAndBatchedClaimsRaceUnderChurn) {
       woken.fetch_add(1, std::memory_order_acq_rel);
     });
   }
-  while (rt.sys().waiters().RegisteredCount() < kWaiters) {
+  while (rt.sys().wake_index().RegisteredCount() < kWaiters) {
     std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
   for (int t = 0; t < kWaiters; ++t) {
@@ -254,7 +253,7 @@ TEST_P(CasClaimTest, FastAndBatchedClaimsRaceUnderChurn) {
       << "a claim path woke a waiter whose predicate never changed";
   EXPECT_GE(s.Get(Counter::kCasWakeClaims), 1u)
       << "the fast path never claimed anything under churn";
-  EXPECT_EQ(rt.sys().waiters().RegisteredCount(), 0);
+  EXPECT_EQ(rt.sys().wake_index().RegisteredCount(), 0);
   EXPECT_TRUE(rt.sys().wake_index().Empty())
       << "an index entry leaked through the racing claim paths";
 }

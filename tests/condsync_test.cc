@@ -11,7 +11,7 @@
 #include <thread>
 
 #include "src/condsync/tm_condvar.h"
-#include "src/condsync/waiter_registry.h"
+#include "src/condsync/wake_index.h"
 #include "src/core/runtime.h"
 #include "src/core/transaction.h"
 #include "src/core/tvar.h"
@@ -709,7 +709,7 @@ TEST_P(TimedWaitTest, RetryForTimesOutAndLeavesNoRegistryEntry) {
                                                        << " us";
     timeouts = s.Get(Counter::kWaitTimeouts);
     // The acceptance criterion: the expired waiter must not leak its slot.
-    EXPECT_EQ(rt_.sys().waiters().RegisteredCount(), 0) << budget.count()
+    EXPECT_EQ(rt_.sys().wake_index().RegisteredCount(), 0) << budget.count()
                                                         << " us";
   }
   TxStats s = rt_.AggregateStats();
@@ -774,7 +774,7 @@ TEST_P(TimedWaitTest, AwaitForTimesOut) {
   });
   EXPECT_TRUE(timed_out);
   EXPECT_GE(rt_.AggregateStats().Get(Counter::kWaitTimeouts), 1u);
-  EXPECT_EQ(rt_.sys().waiters().RegisteredCount(), 0);
+  EXPECT_EQ(rt_.sys().wake_index().RegisteredCount(), 0);
 }
 
 bool FlagSetPred(TmSystem& sys, const WaitArgs& args) {
@@ -796,7 +796,7 @@ TEST_P(TimedWaitTest, WaitPredForTimesOut) {
   });
   EXPECT_TRUE(timed_out);
   EXPECT_GE(rt_.AggregateStats().Get(Counter::kWaitTimeouts), 1u);
-  EXPECT_EQ(rt_.sys().waiters().RegisteredCount(), 0);
+  EXPECT_EQ(rt_.sys().wake_index().RegisteredCount(), 0);
 }
 
 TEST_P(TimedWaitTest, TimeoutRaceWithWakeupDrainsSemaphore) {
@@ -819,7 +819,7 @@ TEST_P(TimedWaitTest, TimeoutRaceWithWakeupDrainsSemaphore) {
     });
     Atomically(rt_.sys(), [&](Tx& tx) { tx.Store(flag, std::uint64_t{1}); });
     waiter.join();
-    ASSERT_EQ(rt_.sys().waiters().RegisteredCount(), 0) << "round " << round;
+    ASSERT_EQ(rt_.sys().wake_index().RegisteredCount(), 0) << "round " << round;
   }
 }
 

@@ -174,17 +174,6 @@ TEST_F(ProtocolCheckerTest, CrossThreadRemoveViolatesOwnerContract) {
   EXPECT_EQ(rec_.Count("wake-index"), 1);
 }
 
-// --- WaiterRegistry presence balance ---
-
-TEST_F(ProtocolCheckerTest, PresenceImbalanceFires) {
-  checker_.OnPresenceMark(0);
-  checker_.OnPresenceMark(0);
-  EXPECT_EQ(rec_.Count("presence"), 1);
-  checker_.OnPresenceUnmark(0);
-  checker_.OnPresenceUnmark(0);
-  EXPECT_EQ(rec_.Count("presence"), 2);
-}
-
 // --- wake claim/post pairing ---
 
 TEST_F(ProtocolCheckerTest, ClaimThenPostIsSilent) {
@@ -228,25 +217,21 @@ TEST_F(ProtocolCheckerTest, QuiesceSlotAtOrAboveTheBoundFires) {
 
 // --- segment publication balance ---
 
-// Seeded violation: a second publication of one (kind, index) means a losing
-// racer reported itself or overwrote the winner's directory entry. The same
-// index in the other structure is a separate publication.
+// Seeded violation: a second publication of one index means a losing racer
+// reported itself or overwrote the winner's directory entry.
 TEST_F(ProtocolCheckerTest, SegmentPublishedTwiceFires) {
-  using Kind = ProtocolChecker::SegmentKind;
-  checker_.OnSegmentPublished(Kind::kWaiterRegistry, 0);
-  checker_.OnSegmentPublished(Kind::kWakeIndex, 0);
+  checker_.OnSegmentPublished(0);
   EXPECT_TRUE(rec_.protocols.empty());
-  checker_.OnSegmentPublished(Kind::kWakeIndex, 0);
+  checker_.OnSegmentPublished(0);
   EXPECT_EQ(rec_.Count("segment-publish"), 1);
 }
 
 // Seeded violation: kMaxThreads tids fit in segment 0, so index 1 (or a
-// negative one) lies outside every directory of this domain.
+// negative one) lies outside the index's directory.
 TEST_F(ProtocolCheckerTest, SegmentIndexOutOfRangeFires) {
-  using Kind = ProtocolChecker::SegmentKind;
-  checker_.OnSegmentPublished(Kind::kWaiterRegistry, 1);
+  checker_.OnSegmentPublished(1);
   EXPECT_EQ(rec_.Count("segment-publish"), 1);
-  checker_.OnSegmentPublished(Kind::kWakeIndex, -1);
+  checker_.OnSegmentPublished(-1);
   EXPECT_EQ(rec_.Count("segment-publish"), 2);
 }
 
@@ -268,7 +253,7 @@ TEST_F(ProtocolCheckerTest, UnregisteredSetActiveFiresThroughTheTable) {
 
 TEST_F(ProtocolCheckerTest, ViolationCounterTracksFailures) {
   checker_.OnWakeDeregister(0);
-  checker_.OnPresenceUnmark(0);
+  checker_.OnWakePost(0);
   EXPECT_EQ(checker_.violations(), 2u);
 }
 

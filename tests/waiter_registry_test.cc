@@ -1,6 +1,6 @@
-// Unit tests for the waiter registry's presence bitmap, the Retry-Orig waiting
-// list, and edge cases of the deschedule machinery (slot reuse, unrelated
-// transactions, stale presence bits).
+// Unit tests for the Retry-Orig waiting list and edge cases of the deschedule
+// machinery (slot reuse, unrelated transactions, stale presence bits). The
+// wake index's own presence and slot tests live in wake_index_test.cc.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "src/condsync/retry_orig.h"
-#include "src/condsync/waiter_registry.h"
 #include "src/core/runtime.h"
 #include "src/core/transaction.h"
 
@@ -23,54 +22,7 @@
 namespace tcs {
 namespace {
 
-TEST(WaiterRegistryTest, EmptyRegistryHasNoWaiters) {
-  WaiterRegistry r(64);
-  EXPECT_FALSE(r.HasWaiters());
-  int visits = 0;
-  r.ForEachRegistered([&](int, WaiterSlot&) {
-    visits++;
-  });
-  EXPECT_EQ(visits, 0);
-}
-
-TEST(WaiterRegistryTest, MarkUnmarkRoundTrip) {
-  WaiterRegistry r(128);
-  r.MarkRegistered(0);
-  r.MarkRegistered(63);
-  r.MarkRegistered(64);
-  r.MarkRegistered(127);
-  EXPECT_TRUE(r.HasWaiters());
-  std::vector<int> seen;
-  r.ForEachRegistered([&](int tid, WaiterSlot&) {
-    seen.push_back(tid);
-  });
-  EXPECT_EQ(seen, (std::vector<int>{0, 63, 64, 127}));
-  r.UnmarkRegistered(63);
-  r.UnmarkRegistered(0);
-  seen.clear();
-  r.ForEachRegistered([&](int tid, WaiterSlot&) {
-    seen.push_back(tid);
-  });
-  EXPECT_EQ(seen, (std::vector<int>{64, 127}));
-  r.UnmarkRegistered(64);
-  r.UnmarkRegistered(127);
-  EXPECT_FALSE(r.HasWaiters());
-}
-
-TEST(WaiterRegistryTest, SlotPrepareStoresPublication) {
-  WaiterRegistry r(4);
-  WaiterSlot& s = r.slot(2);
-  WaitArgs args;
-  args.v[0] = 0xDEAD;
-  args.n = 1;
-  ParkSpot spot;
-  s.Prepare(&FindChangesPred, args, &spot);
-  EXPECT_EQ(s.fn, &FindChangesPred);
-  EXPECT_EQ(s.args.v[0], 0xDEADu);
-  EXPECT_EQ(s.park, &spot);
-}
-
-// A stale presence bit (waiter between wake and unmark) must only cost the
+// A stale presence bit (waiter between wake and Remove) must only cost the
 // writer a rejected transactional check, never a wrong wake.
 TEST(DescheduleEdgeTest, RepeatedSleepWakeOnOneSlot) {
   Runtime rt({.backend = Backend::kEagerStm});

@@ -1,12 +1,15 @@
 // Tests for the sharded wakeup index (src/condsync/wake_index.h): unit-level
 // shard bookkeeping (parameterized over shard counts 1..1024 — the shard set
-// is a multi-word bitmap, not one word), targeted-wake correctness across all
-// three backends at 64 and 1024 shards, no lost wakeups with many disjoint
-// waiters, leak-freedom under concurrent register/deregister/timeout churn,
-// the empty-waitset global fallback, waitset pruning, and the OrElse
+// is a multi-word bitmap, not one word), presence bits, slots and the summary
+// repair's race with a concurrent registration, targeted-wake correctness
+// across all three backends at 64 and 1024 shards, no lost wakeups with many
+// disjoint waiters, leak-freedom under concurrent register/deregister/timeout
+// churn, the empty-waitset global fallback, waitset pruning, and the OrElse
 // partial-rollback orec release. ManyWaitersChurn doubles as the TSan run of
 // the many-waiters ablation (CI runs this binary under -fsanitize=thread).
 #include <gtest/gtest.h>
+
+#include <sched.h>
 
 #include <algorithm>
 #include <atomic>
@@ -15,7 +18,8 @@
 #include <tuple>
 #include <vector>
 
-#include "src/condsync/waiter_registry.h"
+#include "src/common/cpu.h"
+#include "src/common/random.h"
 #include "src/condsync/wake_index.h"
 #include "src/core/runtime.h"
 #include "src/core/transaction.h"
@@ -102,7 +106,7 @@ TEST(WakeIndexUnitTest, IndexedWaiterIsCandidateOnlyForItsShards) {
 
   const Orec* reg[] = {a};
   idx.AddIndexed(7, reg, 1);
-  EXPECT_TRUE(idx.HasEntries(7));
+  EXPECT_TRUE(idx.IsRegistered(7));
   EXPECT_FALSE(idx.IsGlobal(7));
   EXPECT_EQ(idx.ShardSetPopulation(7), 1);
   EXPECT_TRUE(idx.InShardSet(7, idx.ShardOf(a)));
@@ -122,7 +126,7 @@ TEST(WakeIndexUnitTest, IndexedWaiterIsCandidateOnlyForItsShards) {
   EXPECT_TRUE(seen.empty()) << "disjoint shard produced a candidate";
 
   idx.Remove(7);
-  EXPECT_FALSE(idx.HasEntries(7));
+  EXPECT_FALSE(idx.IsRegistered(7));
   EXPECT_TRUE(idx.Empty());
 }
 
@@ -195,6 +199,143 @@ TEST(WakeIndexUnitTest, SingleShardDegradesToGlobalScan) {
   EXPECT_EQ(seen, (std::vector<int>{2}));
 }
 
+// --- presence, slots and the summary (the waiter table's record) ---
+
+TEST(WakeIndexUnitTest, EmptyIndexHasNoWaiters) {
+  WakeIndex idx(64, 64);
+  EXPECT_FALSE(idx.HasWaiters());
+  int visits = 0;
+  idx.ForEachRegistered([&](int) {
+    visits++;
+  });
+  EXPECT_EQ(visits, 0);
+  EXPECT_EQ(idx.RegisteredCount(), 0);
+}
+
+// Either kind of entry sets the presence bit and Remove clears it; draining
+// one segment leaves the other segment's summary bit, and HasWaiters, set.
+TEST(WakeIndexUnitTest, PresenceFollowsAddAndRemove) {
+  WakeIndex idx(512, 64);
+  Orec o;
+  const Orec* reg[] = {&o};
+  idx.AddGlobal(0);
+  idx.AddIndexed(63, reg, 1);
+  idx.AddGlobal(256);
+  idx.AddIndexed(511, reg, 1);
+  EXPECT_TRUE(idx.HasWaiters());
+  EXPECT_EQ(idx.RegisteredCount(), 4);
+  std::vector<int> seen;
+  idx.ForEachRegistered([&](int tid) {
+    seen.push_back(tid);
+  });
+  EXPECT_EQ(seen, (std::vector<int>{0, 63, 256, 511}));
+  idx.Remove(63);
+  idx.Remove(0);
+  EXPECT_TRUE(idx.HasWaiters());
+  seen.clear();
+  idx.ForEachRegistered([&](int tid) {
+    seen.push_back(tid);
+  });
+  EXPECT_EQ(seen, (std::vector<int>{256, 511}));
+  idx.Remove(256);
+  idx.Remove(511);
+  EXPECT_FALSE(idx.HasWaiters());
+  EXPECT_TRUE(idx.Empty());
+}
+
+TEST(WakeIndexUnitTest, SlotPrepareStoresPublication) {
+  WakeIndex idx(4, 64);
+  WaiterSlot& s = idx.slot(2);
+  WaitArgs args;
+  args.v[0] = 0xDEAD;
+  args.n = 1;
+  ParkSpot spot;
+  s.Prepare(&FindChangesPred, args, &spot);
+  EXPECT_EQ(s.fn, &FindChangesPred);
+  EXPECT_EQ(s.args.v[0], 0xDEADu);
+  EXPECT_EQ(s.park, &spot);
+}
+
+// The race the summary repair exists for. Each round the main thread
+// registers tid 0; then one worker removes it — the segment's last waiter, so
+// it clears and repairs the summary bit — while the other registers tid 1 in
+// the same segment. A repair that cleared the bit after tid 1's summary set
+// and then failed to re-set it would hide tid 1 from every writer: HasWaiters
+// would say no and the candidate walk would skip its segment. Random 0–16
+// pause skews move the two operations across each other's windows. Each
+// tid's owner-side bookkeeping passes between threads only through the
+// round and done handoffs, which order every Add before its Remove.
+TEST(WakeIndexUnitTest, DrainRepairNeverHidesAConcurrentRegistration) {
+  constexpr int kRounds = 20000;
+  // The three threads hand each round off by spinning, which keeps their
+  // skew down to the injected pauses. A spinner holds the CPU its partner
+  // needs when fewer than three CPUs may run them, so there every wait
+  // yields; elsewhere a wait yields only once it outlasts a long spin (the
+  // CPUs are busy with other work).
+  cpu_set_t cpus;
+  const bool few_cpus = sched_getaffinity(0, sizeof(cpus), &cpus) == 0 &&
+                        CPU_COUNT(&cpus) < 3;
+  const int yield_after = few_cpus ? 0 : 1 << 14;
+  auto spin = [&](int& spins) {
+    if (++spins > yield_after) {
+      CpuYield();
+    } else {
+      CpuRelax();
+    }
+  };
+  WakeIndex idx(64, 64);
+  Orec o0;
+  Orec o1;
+  const Orec* reg0[] = {&o0};
+  const Orec* reg1[] = {&o1};
+  std::atomic<int> round{0};
+  std::atomic<int> done{0};
+  auto worker = [&](bool remover) {
+    SplitMix64 rng(remover ? 1 : 2);
+    for (int r = 1; r <= kRounds; ++r) {
+      // mo: acquire — [harness] observe the main thread's round start.
+      for (int spins = 0; round.load(std::memory_order_acquire) < r;) {
+        spin(spins);
+      }
+      for (auto i = rng.NextBounded(17); i > 0; --i) {
+        CpuRelax();
+      }
+      if (remover) {
+        idx.Remove(0);
+      } else {
+        idx.AddIndexed(1, reg1, 1);
+      }
+      // mo: acq_rel — [harness] cross-thread counter/flag RMW.
+      done.fetch_add(1, std::memory_order_acq_rel);
+    }
+  };
+  std::thread remover(worker, true);
+  std::thread registrant(worker, false);
+  int misses = 0;
+  for (int r = 1; r <= kRounds; ++r) {
+    idx.AddIndexed(0, reg0, 1);
+    // mo: release — [harness] publish state to other harness threads.
+    round.store(r, std::memory_order_release);
+    // mo: acquire — [harness] observe worker-published state.
+    for (int spins = 0; done.load(std::memory_order_acquire) < 2 * r;) {
+      spin(spins);
+    }
+    bool emitted = false;
+    idx.ForEachCandidate(reg1, 1, [&](int tid) {
+      emitted = emitted || tid == 1;
+    });
+    if (!idx.HasWaiters() || !emitted) {
+      ++misses;
+    }
+    idx.Remove(1);
+  }
+  remover.join();
+  registrant.join();
+  EXPECT_EQ(misses, 0) << "summary repair hid a concurrent registration";
+  EXPECT_FALSE(idx.HasWaiters());
+  EXPECT_TRUE(idx.Empty());
+}
+
 // --- shard-count sweep over the bare index (the >64-shard bitmap rework) ---
 
 class WakeIndexShardCountTest : public ::testing::TestWithParam<int> {};
@@ -210,7 +351,7 @@ TEST_P(WakeIndexShardCountTest, ShardBookkeepingCoversEveryRegisteredOrec) {
     reg.push_back(&o);
   }
   idx.AddIndexed(70, reg.data(), reg.size());  // tid in the second mask word
-  EXPECT_TRUE(idx.HasEntries(70));
+  EXPECT_TRUE(idx.IsRegistered(70));
   EXPECT_FALSE(idx.IsGlobal(70));
   int pop = idx.ShardSetPopulation(70);
   EXPECT_GE(pop, 1);
@@ -226,7 +367,7 @@ TEST_P(WakeIndexShardCountTest, ShardBookkeepingCoversEveryRegisteredOrec) {
         << "a registered orec's shard lost its waiter";
   }
   idx.Remove(70);
-  EXPECT_FALSE(idx.HasEntries(70));
+  EXPECT_FALSE(idx.IsRegistered(70));
   EXPECT_EQ(idx.ShardSetPopulation(70), 0);
   EXPECT_TRUE(idx.Empty());
 }
@@ -281,11 +422,11 @@ TEST_P(WakeIndexShardCountTest, RemoveIsIdempotentAndExact) {
   idx.AddGlobal(101);
   idx.Remove(64);
   idx.Remove(64);  // second removal is a no-op
-  EXPECT_FALSE(idx.HasEntries(64));
+  EXPECT_FALSE(idx.IsRegistered(64));
   for (int tid : {0, 63, 100}) {
-    EXPECT_TRUE(idx.HasEntries(tid)) << "Remove(64) clobbered tid " << tid;
+    EXPECT_TRUE(idx.IsRegistered(tid)) << "Remove(64) clobbered tid " << tid;
   }
-  EXPECT_TRUE(idx.HasEntries(101));
+  EXPECT_TRUE(idx.IsRegistered(101));
   for (int tid : {0, 63, 100, 101}) {
     idx.Remove(tid);
     idx.Remove(tid);
@@ -299,7 +440,7 @@ TEST_P(WakeIndexShardCountTest, EmptyOrecListFallsBackToGlobal) {
   // the global fallback list instead.
   WakeIndex idx(64, GetParam());
   idx.AddIndexed(5, nullptr, 0);
-  EXPECT_TRUE(idx.HasEntries(5));
+  EXPECT_TRUE(idx.IsRegistered(5));
   EXPECT_TRUE(idx.IsGlobal(5));
   EXPECT_EQ(idx.ShardSetPopulation(5), 0);
   Orec o;
@@ -460,9 +601,34 @@ TEST_P(WakeIndexBackendTest, RetryWaitersAreIndexed) {
   EXPECT_TRUE(rt.sys().wake_index().Empty());
 }
 
+// A writer whose write set is unknown (an empty snapshot) falls back to the
+// global scan over every registered waiter, and that scan must reach indexed
+// waiters too, not only those on the global list.
+TEST_P(WakeIndexBackendTest, EmptyWriteSetScanVisitsIndexedWaiters) {
+  Runtime rt(Config());
+  PaddedCell cell;
+  std::thread waiter([&] {
+    Atomically(rt.sys(), [&](Tx& tx) {
+      if (tx.Load(cell.v) == 0) {
+        tx.Retry();
+      }
+    });
+  });
+  AwaitCounter(rt, Counter::kSleeps, 1);
+  EXPECT_EQ(rt.sys().wake_index().GlobalPopulation(), 0);
+  const TxStats before = rt.AggregateStats();
+  rt.sys().WakeWaiters({});
+  const TxStats after = rt.AggregateStats();
+  EXPECT_EQ(after.Get(Counter::kWakeChecks) - before.Get(Counter::kWakeChecks),
+            1u);
+  EXPECT_EQ(after.Get(Counter::kWakeups) - before.Get(Counter::kWakeups), 0u);
+  Atomically(rt.sys(), [&](Tx& tx) { tx.Store(cell.v, std::uint64_t{1}); });
+  waiter.join();
+}
+
 // Concurrent register/deregister/timeout churn: short timed waits racing
 // writer commits. Whatever interleaving occurs, every thread terminates and
-// neither the registry nor any index shard leaks an entry. This is also the
+// no presence bit or index shard leaks an entry. This is also the
 // TSan run of the many-waiters ablation shape (disjoint cells, hot writer).
 TEST_P(WakeIndexBackendTest, ManyWaitersChurnLeavesNoEntries) {
   constexpr int kThreads = 12;
@@ -509,7 +675,7 @@ TEST_P(WakeIndexBackendTest, ManyWaitersChurnLeavesNoEntries) {
   // mo: release — [harness] publish state to other harness threads.
   stop.store(true, std::memory_order_release);
   writer.join();
-  EXPECT_EQ(rt.sys().waiters().RegisteredCount(), 0);
+  EXPECT_EQ(rt.sys().wake_index().RegisteredCount(), 0);
   EXPECT_TRUE(rt.sys().wake_index().Empty())
       << "an index entry leaked through the churn";
 }
@@ -594,7 +760,7 @@ TEST_P(EmptyWaitsetTest, EmptyWaitsetTimedWaitTimesOutCleanly) {
   // mo: acquire — [harness] observe worker-published state.
   EXPECT_TRUE(timed_out.load(std::memory_order_acquire));
   EXPECT_GE(rt.AggregateStats().Get(Counter::kWaitTimeouts), 1u);
-  EXPECT_EQ(rt.sys().waiters().RegisteredCount(), 0);
+  EXPECT_EQ(rt.sys().wake_index().RegisteredCount(), 0);
   EXPECT_TRUE(rt.sys().wake_index().Empty());
 }
 
@@ -686,8 +852,8 @@ class WakeBatchingTest : public ::testing::TestWithParam<Backend> {
 // cell keeps every commit's candidate set large (all waiters read it), so
 // batches really carry multiple claims. After the churn, a deterministic
 // untimed phase parks every waiter and releases each with its own write: a
-// lost wakeup hangs here (ctest's timeout fails the test), and the index and
-// registry must end empty.
+// lost wakeup hangs here (ctest's timeout fails the test), and the index must
+// end empty.
 TEST_P(WakeBatchingTest, StressChurnMidBatchLosesNothing) {
   constexpr int kThreads = 12;
   constexpr int kRoundsPerThread = 30;
@@ -759,7 +925,7 @@ TEST_P(WakeBatchingTest, StressChurnMidBatchLosesNothing) {
       woken.fetch_add(1, std::memory_order_acq_rel);
     });
   }
-  while (rt.sys().waiters().RegisteredCount() < kThreads) {
+  while (rt.sys().wake_index().RegisteredCount() < kThreads) {
     std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
   for (int t = 0; t < kThreads; ++t) {
@@ -772,7 +938,7 @@ TEST_P(WakeBatchingTest, StressChurnMidBatchLosesNothing) {
   }
   // mo: acquire — [harness] observe worker-published state.
   EXPECT_EQ(woken.load(std::memory_order_acquire), kThreads);
-  EXPECT_EQ(rt.sys().waiters().RegisteredCount(), 0);
+  EXPECT_EQ(rt.sys().wake_index().RegisteredCount(), 0);
   EXPECT_TRUE(rt.sys().wake_index().Empty())
       << "an index entry leaked through the batched churn";
   TxStats s = rt.AggregateStats();
@@ -833,7 +999,7 @@ TEST_P(WakeBatchingTest, MultiClaimBatchesNeverDoublePost) {
     t.join();
   }
   EXPECT_EQ(rt.AggregateStats().Get(Counter::kFalseWakeups), 0u);
-  EXPECT_EQ(rt.sys().waiters().RegisteredCount(), 0);
+  EXPECT_EQ(rt.sys().wake_index().RegisteredCount(), 0);
   EXPECT_TRUE(rt.sys().wake_index().Empty());
 }
 
