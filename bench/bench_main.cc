@@ -2,7 +2,9 @@
 // apps, and the wake-index ablation over a thread × backend × mechanism
 // matrix, and emits one machine-readable BENCH_wakeup.json so performance is
 // comparable PR-to-PR (the CI bench-smoke job uploads it as an artifact).
-// The bounded and parsec scenarios reproduce Figures 2.3-2.5 and 2.6-2.8.
+// The bounded and parsec scenarios reproduce Figures 2.3-2.5 and 2.6-2.8,
+// wakeup_precision §2.3's tradeoff, waitset_pruning §2.4.2's claim and
+// table_2_1 Table 2.1.
 //
 // Flags (an unknown flag, malformed value or scenario exits 2 up front):
 //   --quick              CI-sized run: eager backend only, small op counts
@@ -10,11 +12,13 @@
 //                        producers and consumers, 2^20 ops and 5 trials;
 //                        mini-PARSEC at scale 8 with 5 trials
 //   --out=PATH           output file (default BENCH_wakeup.json)
-//   --scenario=NAME      all | wake_index | waiter_scale | bounded | parsec
+//   --scenario=NAME      all | wake_index | waiter_scale | bounded | parsec |
+//                        wakeup_precision | waitset_pruning | table_2_1
 //                        (default all)
 //   --ops=N --trials=N --max_side=N      bounded-buffer grid
 //   --scale=N --trials=N --max_threads=N mini-PARSEC grid
-//   --commits=N --many_commits=N         wake-index scenarios
+//   --commits=N --many_commits=N         wake-index and waitset_pruning
+//                                        scenarios
 //   --scale_waiters=N    waiter_scale point size (default 1e5, --quick 1e4)
 #include <cstdio>
 #include <string>
@@ -22,10 +26,16 @@
 
 #include "bench/bench_util.h"
 #include "bench/bounded_grid.h"
+#include "bench/condsync_ablations.h"
+#include "bench/loc_table.h"
 #include "bench/parsec_grid.h"
 #include "src/common/json_writer.h"
 #include "bench/waiter_scale.h"
 #include "bench/wake_scenarios.h"
+
+#ifndef TCS_SOURCE_DIR
+#error "TCS_SOURCE_DIR must be defined by the build"
+#endif
 
 namespace tcs {
 namespace {
@@ -353,6 +363,91 @@ void EmitParsec(JsonWriter& w, const std::vector<Backend>& backends,
   w.EndArray();
 }
 
+// §2.3's tradeoff at fixed sizes, on all three backends even under --quick
+// (a row takes well under a second). CI's bench-smoke job gates the exact
+// counts stated in bench/condsync_ablations.h.
+void EmitWakeupPrecision(JsonWriter& w, std::uint64_t steps) {
+  w.Key("wakeup_precision").BeginArray();
+  for (Backend b : {Backend::kEagerStm, Backend::kLazyStm, Backend::kSimHtm}) {
+    for (Mechanism m :
+         {Mechanism::kWaitPred, Mechanism::kAwait, Mechanism::kRetry}) {
+      WakeupPrecisionRow r = RunWakeupPrecision(b, m, steps);
+      w.BeginObject();
+      w.Key("backend").String(BackendName(r.backend));
+      w.Key("mechanism").String(MechanismName(r.mech));
+      w.Key("steps").U64(r.steps);
+      w.Key("sleeps").U64(r.sleeps);
+      w.Key("wakeups").U64(r.wakeups);
+      w.Key("wake_checks").U64(r.wake_checks);
+      w.Key("false_wakeups").U64(r.false_wakeups);
+      w.Key("waitset_entries").U64(r.waitset_entries);
+      w.Key("seconds").Double(r.seconds);
+      w.EndObject();
+      std::printf("wakeup_precision backend=%-10s mech=%-8s wakeups=%llu "
+                  "false_wakeups=%llu wake_checks=%llu\n",
+                  BackendName(b), MechanismName(m),
+                  static_cast<unsigned long long>(r.wakeups),
+                  static_cast<unsigned long long>(r.false_wakeups),
+                  static_cast<unsigned long long>(r.wake_checks));
+    }
+  }
+  w.EndArray();
+}
+
+// §2.4.2: writer-commit cost against the waiter's read-set size K, for Await
+// and Retry, with the paper's global scan and with the wake index.
+void EmitWaitsetPruning(JsonWriter& w, const std::vector<Backend>& backends,
+                        std::uint64_t commits) {
+  w.Key("waitset_pruning").BeginArray();
+  for (Backend b : backends) {
+    for (std::uint64_t k : {0, 64, 512, 4096}) {
+      for (bool targeted : {false, true}) {
+        for (Mechanism m : {Mechanism::kAwait, Mechanism::kRetry}) {
+          WaitsetPruningRow r = RunWaitsetPruning(b, m, targeted, k, commits);
+          w.BeginObject();
+          w.Key("backend").String(BackendName(r.backend));
+          w.Key("mechanism").String(MechanismName(r.mech));
+          w.Key("mode").String(r.targeted ? "wake_index" : "global_scan");
+          w.Key("extra_reads").U64(r.extra_reads);
+          w.Key("commits").U64(r.commits);
+          w.Key("waitset_entries").U64(r.waitset_entries);
+          w.Key("wake_checks").U64(r.wake_checks);
+          w.Key("wake_checks_per_commit").Double(r.wake_checks_per_commit);
+          w.Key("ns_per_commit").Double(r.ns_per_commit);
+          w.EndObject();
+          std::printf("waitset_pruning backend=%-10s K=%-5llu mode=%-11s "
+                      "mech=%-6s checks/commit=%.3f ns/commit=%.0f\n",
+                      BackendName(b), static_cast<unsigned long long>(k),
+                      targeted ? "wake_index" : "global_scan",
+                      MechanismName(m), r.wake_checks_per_commit,
+                      r.ns_per_commit);
+        }
+      }
+    }
+  }
+  w.EndArray();
+}
+
+// Table 2.1, measured from the adapter sources of this checkout.
+void EmitLocTable(JsonWriter& w) {
+  w.Key("table_2_1").BeginArray();
+  for (const LocTableRow& r : CountLocTable(TCS_SOURCE_DIR)) {
+    w.BeginObject();
+    w.Key("app").String(r.app);
+    w.Key("sync_points").U64(r.sync_points);
+    w.Key("waitpred").Int(r.waitpred);
+    w.Key("await").Int(r.await);
+    w.Key("retry").Int(r.retry);
+    w.Key("removed").Int(r.removed);
+    w.EndObject();
+    std::printf("table_2_1 %-14s (%zu) WaitPred=%d Await=%d Retry=%d "
+                "Removed=%d\n",
+                r.app.c_str(), r.sync_points, r.waitpred, r.await, r.retry,
+                r.removed);
+  }
+  w.EndArray();
+}
+
 int Run(int argc, char** argv) {
   // Every flag is read here, before any scenario runs.
   BenchFlags flags(argc, argv,
@@ -364,10 +459,12 @@ int Run(int argc, char** argv) {
   const std::string scenario = flags.GetString("scenario", "all");
   if (scenario != "all" && scenario != "wake_index" &&
       scenario != "waiter_scale" && scenario != "bounded" &&
-      scenario != "parsec") {
+      scenario != "parsec" && scenario != "wakeup_precision" &&
+      scenario != "waitset_pruning" && scenario != "table_2_1") {
     std::fprintf(stderr,
                  "unknown scenario: %s (expected all, wake_index, "
-                 "waiter_scale, bounded or parsec)\n",
+                 "waiter_scale, bounded, parsec, wakeup_precision, "
+                 "waitset_pruning or table_2_1)\n",
                  scenario.c_str());
     return 2;
   }
@@ -431,6 +528,15 @@ int Run(int argc, char** argv) {
   }
   if (scenario == "all" || scenario == "parsec") {
     EmitParsec(w, backends, parsec);
+  }
+  if (scenario == "all" || scenario == "wakeup_precision") {
+    EmitWakeupPrecision(w, quick ? 400 : 2000);
+  }
+  if (scenario == "all" || scenario == "waitset_pruning") {
+    EmitWaitsetPruning(w, backends, commits);
+  }
+  if (scenario == "all" || scenario == "table_2_1") {
+    EmitLocTable(w);
   }
   w.EndObject();
   w.EndObject();

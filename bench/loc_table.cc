@@ -1,20 +1,7 @@
-// Table 2.1: lines of code added and removed for different condition-
-// synchronization mechanisms in (mini-)PARSEC.
-//
-// The paper counts source lines changed when porting each benchmark from
-// condition variables to WaitPred / Await / Retry. This harness regenerates the
-// analogous table from *measured* source: for each app, it sums — over the app's
-// synchronization points (whose kinds mirror the original benchmark's structure)
-// — the per-mechanism arm of the adapter operation implementing that point, and
-// reports the pthread/condvar code those arms replace as "Removed". Counts are
-// parsed from the adapter sources at src/sync/ on every run, so the table tracks
-// the code.
-#include <cstdio>
+#include "bench/loc_table.h"
+
 #include <fstream>
 #include <map>
-#include <sstream>
-#include <string>
-#include <vector>
 
 #include "src/common/assert.h"
 #include "src/miniparsec/app_common.h"
@@ -22,13 +9,9 @@
 namespace tcs {
 namespace {
 
-#ifndef TCS_SOURCE_DIR
-#error "TCS_SOURCE_DIR must be defined by the build"
-#endif
-
-std::vector<std::string> ReadLines(const std::string& rel_path) {
-  std::string path = std::string(TCS_SOURCE_DIR) + "/" + rel_path;
-  std::ifstream in(path);
+std::vector<std::string> ReadLines(const std::string& source_dir,
+                                   const std::string& rel_path) {
+  std::ifstream in(source_dir + "/" + rel_path);
   TCS_CHECK_MSG(in.good(), "cannot open adapter source for line counting");
   std::vector<std::string> lines;
   std::string line;
@@ -148,9 +131,9 @@ int PthreadLines(const std::vector<std::string>& lines, const OpSource& op) {
   return CountNonBlank(lines, p, BlockEnd(lines, p));
 }
 
-KindCounts CountsForKind(SyncKind kind) {
+KindCounts CountsForKind(const std::string& source_dir, SyncKind kind) {
   const OpSource& op = OpSources().at(kind);
-  std::vector<std::string> lines = ReadLines(op.file);
+  std::vector<std::string> lines = ReadLines(source_dir, op.file);
   int f = FindLine(lines, op.signature);
   TCS_CHECK_MSG(f >= 0, "adapter operation signature not found");
   int end = BlockEnd(lines, f);
@@ -163,37 +146,25 @@ KindCounts CountsForKind(SyncKind kind) {
 }
 
 }  // namespace
-}  // namespace tcs
 
-int main() {
-  using namespace tcs;
-  std::printf(
-      "# Table 2.1: lines of code added and removed for different condition\n"
-      "# synchronization mechanisms in mini-PARSEC. Numbers in parentheses are\n"
-      "# the unique condition-synchronization points per benchmark (matching the\n"
-      "# original PARSEC counts). Counts are measured from src/sync/ sources.\n");
-  std::printf("%-20s %-9s %-7s %-7s %-8s\n", "benchmark", "WaitPred", "Await",
-              "Retry", "Removed");
-
-  std::map<int, KindCounts> cache;
+std::vector<LocTableRow> CountLocTable(const std::string& source_dir) {
+  std::vector<LocTableRow> rows;
+  std::map<SyncKind, KindCounts> cache;
   for (const AppInfo& app : MiniParsecApps()) {
-    KindCounts total;
+    LocTableRow row{app.name, app.sync_points.size(), 0, 0, 0, 0};
     for (const SyncPointInfo& sp : app.sync_points) {
-      int key = static_cast<int>(sp.kind);
-      if (cache.find(key) == cache.end()) {
-        cache[key] = CountsForKind(sp.kind);
+      auto it = cache.find(sp.kind);
+      if (it == cache.end()) {
+        it = cache.emplace(sp.kind, CountsForKind(source_dir, sp.kind)).first;
       }
-      const KindCounts& k = cache[key];
-      total.waitpred += k.waitpred;
-      total.await += k.await;
-      total.retry += k.retry;
-      total.removed += k.removed;
+      row.waitpred += it->second.waitpred;
+      row.await += it->second.await;
+      row.retry += it->second.retry;
+      row.removed += it->second.removed;
     }
-    char name[64];
-    std::snprintf(name, sizeof(name), "%s (%zu)", app.name,
-                  app.sync_points.size());
-    std::printf("%-20s %-9d %-7d %-7d %-8d\n", name, total.waitpred, total.await,
-                total.retry, total.removed);
+    rows.push_back(row);
   }
-  return 0;
+  return rows;
 }
+
+}  // namespace tcs

@@ -27,7 +27,6 @@ constexpr std::string_view kCounterNames[] = {
     "condvar_waits",
     "condvar_signals",
     "timestamp_extensions",
-    "htm_pred_table_fast_path",
     "waitset_entries",
     "quiesce_calls",
     "wait_timeouts",
@@ -37,10 +36,6 @@ constexpr std::string_view kCounterNames[] = {
     "global_deschedules",
     "waitset_pruned",
     "orelse_orec_releases",
-    "extend_on_validation",
-    "extend_on_orec_release",
-    "extend_on_commit_validation",
-    "extend_on_encounter_acquisition",
     "wake_batches",
     "wake_checks_batched",
     "vacuous_wakeups",

@@ -29,10 +29,11 @@ enum class Counter : int {
   kHtmExplicitAborts,
   kCondVarWaits,
   kCondVarSignals,
-  kTimestampExtensions,  // eager STM reads salvaged by extending the timestamp
-  kHtmPredTableFastPath,  // WaitPred deschedules taken via the 8-bit abort code
+  kTimestampExtensions,  // eager OrElse orec releases that extended the
+                         // transaction's timestamp
   kWaitsetEntries,  // total addr/value pairs logged across deschedules
-  kQuiesceCalls,
+  kQuiesceCalls,  // privatization fences run by writer commits; bumped after
+                  // the commit releases its orecs, just before the fence waits
   kWaitTimeouts,       // timed waits that expired and returned kTimedOut
   kOrElseFallbacks,    // OrElse branches abandoned for their alternative
   kPartialRollbacks,   // savepoint rollbacks performed by OrElse
@@ -40,14 +41,6 @@ enum class Counter : int {
   kGlobalDeschedules,   // deschedules on the index's global fallback list
   kWaitsetPruned,       // duplicate waitset entries dropped before publication
   kOrElseOrecReleases,  // orecs released by an abandoned OrElse branch
-  kExtendOnValidation,  // shared TryExtendTimestamp calls from read validation
-  kExtendOnOrecRelease,  // shared TryExtendTimestamp calls from orec release
-  kExtendOnCommitValidation,  // TryExtendTimestamp calls from commit-time
-                              // validation (lazy write-orec acquisition and
-                              // read-set revalidation)
-  kExtendOnEncounterAcquisition,  // TryExtendTimestamp calls from eager STM's
-                                  // encounter-time write-orec acquisition on a
-                                  // too-new orec
   kWakeBatches,        // internal wake transactions committed by wakeWaiters
   kWakeChecksBatched,  // wake checks that ran inside a committed wake batch
   kVacuousWakeups,     // conservative empty-waitset posts (no evidence the

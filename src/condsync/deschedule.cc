@@ -118,7 +118,7 @@ void TmSystem::DescheduleImpl(WaitPredFn fn, const WaitArgs& args, bool timed) {
   if (sleep) {
     d.stats.Bump(Counter::kSleeps);
     TCS_TRACE_EVENT(d, TraceEvent::kSleep, 0);
-    std::uint64_t sleep_start_ns = cfg_.latency_metrics ? ObsNowNs() : 0;
+    std::uint64_t sleep_start_ns = ObsNowNs();
     bool acquired = true;
     bool spun = false;
     if (timed) {
@@ -149,17 +149,15 @@ void TmSystem::DescheduleImpl(WaitPredFn fn, const WaitArgs& args, bool timed) {
     if (spun) {
       d.stats.Bump(Counter::kSpinWakeups);
     }
-    if (cfg_.latency_metrics) {
-      std::uint64_t now = ObsNowNs();
-      d.obs.wait_duration.Record(now - sleep_start_ns);
-      if (acquired) {
-        // The claiming waker stamped the post time just before Post; the
-        // [park-handoff] edge ordered that stamp before this load (see
-        // WaiterSlot).
-        std::uint64_t posted = slot.LoadWakePost();
-        if (posted != 0 && now >= posted) {
-          d.obs.wake_latency.Record(now - posted);
-        }
+    std::uint64_t now = ObsNowNs();
+    d.obs.wait_duration.Record(now - sleep_start_ns);
+    if (acquired) {
+      // The claiming waker stamped the post time just before Post; the
+      // [park-handoff] edge ordered that stamp before this load (see
+      // WaiterSlot).
+      std::uint64_t posted = slot.LoadWakePost();
+      if (posted != 0 && now >= posted) {
+        d.obs.wake_latency.Record(now - posted);
       }
     }
     // arg 1 marks a timeout expiry rather than a wakeup post.
@@ -416,9 +414,7 @@ TmSystem::CasClaimResult TmSystem::TryCasWakeClaim(TxDesc& d, int waiter_tid) {
   // The post happens strictly after the orec release — the claim's commit
   // point — preserving Algorithm 4's escape-action ordering.
   TCS_PROTO(proto_->OnWakePost(waiter_tid));
-  if (cfg_.latency_metrics) {
-    slot.StampWakePost(ObsNowNs());
-  }
+  slot.StampWakePost(ObsNowNs());
   lot_.Post(*slot.park);
   d.stats.Bump(Counter::kWakeups);
   return CasClaimResult::kClaimed;
@@ -564,12 +560,10 @@ void TmSystem::WakeWaiters(const std::vector<const Orec*>& write_orecs) {
       // the wake transaction commits (Algorithm 4, line 9).
       TCS_PROTO(proto_->OnWakePost(c.tid));
       WaiterSlot& claimed = wake_index_->slot(c.tid);
-      if (cfg_.latency_metrics) {
-        // Stamp strictly before the post so the waiter's read (after the park
-        // returns) observes it via the [park-handoff] edge. Exclusive: this
-        // writer won the transactional asleep 1→0 claim for this sleep.
-        claimed.StampWakePost(ObsNowNs());
-      }
+      // Stamp strictly before the post so the waiter's read (after the park
+      // returns) observes it via the [park-handoff] edge. Exclusive: this
+      // writer won the transactional asleep 1→0 claim for this sleep.
+      claimed.StampWakePost(ObsNowNs());
       lot_.Post(*claimed.park);
       d.stats.Bump(Counter::kWakeups);
       if (c.vacuous) {

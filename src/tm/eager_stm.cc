@@ -17,32 +17,24 @@ void EagerStm::BeginTx(TxDesc& d) {
 // transaction's start (or locked by this transaction).
 TmWord EagerStm::ReadWord(TxDesc& d, const TmWord* addr) {
   Orec& o = orecs_.For(addr);
-  for (;;) {
-    // mo: acquire — pairs with the committer's release store [orec-publish];
-    // seeing an unlocked version makes the data that commit wrote visible.
-    std::uint64_t o1 = o.word.load(std::memory_order_acquire);
-    TmWord val = LoadWordAcquire(addr);
-    if (Orec::IsLocked(o1)) {
-      if (Orec::Owner(o1) == d.tid) {
-        return val;
-      }
-      AbortCurrent(d, Counter::kAborts, AbortCause::kLockCollision, &o);
-    }
-    // mo: acquire — re-check leg of the sample/read/re-check snapshot; pairs
-    // with [orec-publish] so an o1==o2 match proves no release intervened.
-    std::uint64_t o2 = o.word.load(std::memory_order_acquire);
-    if (o1 == o2 && Orec::Version(o1) <= d.start) {
-      d.reads.push_back(&o);
+  // mo: acquire — pairs with the committer's release store [orec-publish];
+  // seeing an unlocked version makes the data that commit wrote visible.
+  std::uint64_t o1 = o.word.load(std::memory_order_acquire);
+  TmWord val = LoadWordAcquire(addr);
+  if (Orec::IsLocked(o1)) {
+    if (Orec::Owner(o1) == d.tid) {
       return val;
     }
-    if (o1 != o2 || !cfg_.timestamp_extension ||
-        !TryExtendTimestamp(d, ExtendSite::kValidation)) {
-      AbortCurrent(d, Counter::kAborts, AbortCause::kReadValidation, &o);
-    }
-    // Extended: retake the whole sample. Re-checking the pre-extension o1
-    // against the new start would accept a value a writer overwrote between
-    // the o2 check and the extension's clock sample — a non-serializable mix.
+    AbortCurrent(d, Counter::kAborts, AbortCause::kLockCollision, &o);
   }
+  // mo: acquire — re-check leg of the sample/read/re-check snapshot; pairs
+  // with [orec-publish] so an o1==o2 match proves no release intervened.
+  std::uint64_t o2 = o.word.load(std::memory_order_acquire);
+  if (o1 != o2 || Orec::Version(o1) > d.start) {
+    AbortCurrent(d, Counter::kAborts, AbortCause::kReadValidation, &o);
+  }
+  d.reads.push_back(&o);
+  return val;
 }
 
 // Algorithm 10, TxWrite: acquire the covering lock (unless already held), log the
@@ -64,17 +56,8 @@ void EagerStm::WriteWord(TxDesc& d, TmWord* addr, TmWord val) {
       return;
     }
     if (Orec::Version(w) > d.start) {
-      // The location was committed past our start, but the write doesn't
-      // depend on its old value (the undo entry is a rollback artifact, not a
-      // read) — only the read set must stay valid. Attempt the shared
-      // extension before aborting, exactly as lazy's commit-time acquisition
-      // does, then re-sample the orec under the extended start.
-      if (!cfg_.timestamp_extension ||
-          !TryExtendTimestamp(d, ExtendSite::kEncounterAcquisition)) {
-        AbortCurrent(d, Counter::kAborts, AbortCause::kEncounterAcquisition,
-                     &o);
-      }
-      continue;
+      // Committed past our start: Appendix A's conservative abort.
+      AbortCurrent(d, Counter::kAborts, AbortCause::kEncounterAcquisition, &o);
     }
     // mo: acq_rel — the acquire leg pairs with the previous owner's release
     // store [orec-publish] (their data writes become visible); the release leg
@@ -126,10 +109,8 @@ bool EagerStm::CommitTx(TxDesc& d) {
     l.orec->word.store(Orec::MakeVersion(end), std::memory_order_release);
   }
   quiesce_.SetInactive(d.tid);
-  if (cfg_.privatization_safety) {
-    d.stats.Bump(Counter::kQuiesceCalls);
-    quiesce_.WaitForReadersBefore(end, d.tid);
-  }
+  d.stats.Bump(Counter::kQuiesceCalls);
+  quiesce_.WaitForReadersBefore(end, d.tid);
   return true;
 }
 
@@ -172,13 +153,14 @@ void EagerStm::Rollback(TxDesc& d) {
 // The bumped versions can exceed this transaction's own start time, which
 // would make its later reads — and commit-time validation of earlier reads —
 // of those very locations abort it (and re-running the branch re-releases,
-// livelocking). So the release is paired with the shared timestamp extension:
-// advance d.start to the post-release clock after revalidating every read
-// orec, tolerating the words this rollback itself just published (we held the
-// lock in between, and the value beneath has been restored, so nobody else can
-// have touched those locations). Anything else is foreign interference, and
-// the transaction conservatively aborts — no worse than the conflict it was
-// already heading for.
+// livelocking). So the release is paired with a timestamp extension
+// (TryExtendTimestamp, whose only caller this is): advance d.start to the
+// post-release clock after revalidating every read orec, tolerating the words
+// this rollback itself just published (we held the lock in between, and the
+// value beneath has been restored, so nobody else can have touched those
+// locations). Anything else is foreign interference, and the transaction
+// conservatively aborts — no worse than the conflict it was already heading
+// for.
 void EagerStm::PartialRollback(TxDesc& d, const TxSavepoint& sp) {
   // Always-on: OrElse partial rollback is rare (never per-access), and undoing
   // with a stale savepoint silently corrupts user data.
@@ -204,8 +186,7 @@ void EagerStm::PartialRollback(TxDesc& d, const TxSavepoint& sp) {
   d.stats.Bump(Counter::kOrElseOrecReleases, released.size());
   [[maybe_unused]] std::uint64_t bumped = clock_.Increment();
   TCS_PROTO(proto_->OnClockObserved(d.tid, bumped));
-  if (!TryExtendTimestamp(d, ExtendSite::kOrecRelease, released.data(),
-                          released.size())) {
+  if (!TryExtendTimestamp(d, released.data(), released.size())) {
     AbortCurrent(d, Counter::kAborts, AbortCause::kOrElseAbandon);
   }
 }

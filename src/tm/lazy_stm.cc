@@ -19,32 +19,22 @@ TmWord LazyStm::ReadWord(TxDesc& d, const TmWord* addr) {
     return v;
   }
   Orec& o = orecs_.For(addr);
-  for (;;) {
-    // mo: acquire — pairs with the committer's release store [orec-publish];
-    // seeing an unlocked version makes the written-back data visible.
-    std::uint64_t o1 = o.word.load(std::memory_order_acquire);
-    if (Orec::IsLocked(o1)) {
-      // Locks are held only during a concurrent commit's write-back window.
-      AbortCurrent(d, Counter::kAborts, AbortCause::kLockCollision, &o);
-    }
-    v = LoadWordAcquire(addr);
-    // mo: acquire — re-check leg of the sample/read/re-check snapshot; pairs
-    // with [orec-publish] so an o1==o2 match proves no release intervened.
-    std::uint64_t o2 = o.word.load(std::memory_order_acquire);
-    if (o1 == o2 && Orec::Version(o1) <= d.start) {
-      d.reads.push_back(&o);
-      return v;
-    }
-    // Too-new but stable: the shared extension path can salvage the read by
-    // revalidating the read set and advancing `start`, exactly as in eager STM
-    // (buffered writes need no special handling — the redo log is private).
-    if (o1 != o2 || !cfg_.timestamp_extension ||
-        !TryExtendTimestamp(d, ExtendSite::kValidation)) {
-      AbortCurrent(d, Counter::kAborts, AbortCause::kReadValidation, &o);
-    }
-    // Extended: retake the whole sample rather than re-checking the stale o1,
-    // which could accept a value overwritten during the extension itself.
+  // mo: acquire — pairs with the committer's release store [orec-publish];
+  // seeing an unlocked version makes the written-back data visible.
+  std::uint64_t o1 = o.word.load(std::memory_order_acquire);
+  if (Orec::IsLocked(o1)) {
+    // Locks are held only during a concurrent commit's write-back window.
+    AbortCurrent(d, Counter::kAborts, AbortCause::kLockCollision, &o);
   }
+  v = LoadWordAcquire(addr);
+  // mo: acquire — re-check leg of the sample/read/re-check snapshot; pairs
+  // with [orec-publish] so an o1==o2 match proves no release intervened.
+  std::uint64_t o2 = o.word.load(std::memory_order_acquire);
+  if (o1 != o2 || Orec::Version(o1) > d.start) {
+    AbortCurrent(d, Counter::kAborts, AbortCause::kReadValidation, &o);
+  }
+  d.reads.push_back(&o);
+  return v;
 }
 
 void LazyStm::WriteWord(TxDesc& d, TmWord* addr, TmWord val) {
@@ -72,17 +62,8 @@ bool LazyStm::CommitTx(TxDesc& d) {
         AbortCurrent(d, Counter::kAborts, AbortCause::kLockCollision, &o);
       }
       if (Orec::Version(w) > d.start) {
-        // The location was committed past our start, but the buffered write
-        // doesn't care about its old value — only the read set must stay
-        // valid. Attempt the shared extension instead of aborting outright
-        // (the ROADMAP's lazy commit-time follow-up), then re-sample the
-        // orec under the extended start.
-        if (!cfg_.timestamp_extension ||
-            !TryExtendTimestamp(d, ExtendSite::kCommitValidation)) {
-          AbortCurrent(d, Counter::kAborts, AbortCause::kCommitValidation,
-                       &o);
-        }
-        continue;
+        // Committed past our start: Appendix A's conservative abort.
+        AbortCurrent(d, Counter::kAborts, AbortCause::kCommitValidation, &o);
       }
       // mo: acq_rel — the acquire leg pairs with the previous owner's release
       // store [orec-publish]; the release leg publishes the locked word other
@@ -105,24 +86,10 @@ bool LazyStm::CommitTx(TxDesc& d) {
       // proves the covered data is still the data this transaction read.
       std::uint64_t w = o->word.load(std::memory_order_acquire);
       if (Orec::IsLocked(w)) {
-        if (Orec::Owner(w) == d.tid) {
-          continue;
-        }
-        // Locked by a concurrent commit or abort — possibly transient. One
-        // shared extension attempt revalidates the *entire* read set against
-        // the current clock (so on success the remaining entries need no
-        // further checks) and salvages the case where that lock has already
-        // been released at an old version by the time it re-samples.
-        if (!cfg_.timestamp_extension ||
-            !TryExtendTimestamp(d, ExtendSite::kCommitValidation)) {
+        if (Orec::Owner(w) != d.tid) {
           AbortCurrent(d, Counter::kAborts, AbortCause::kLockCollision, o);
         }
-        break;
-      }
-      if (Orec::Version(w) > d.start) {
-        // Unlocked and too new: genuinely overwritten since we read it. An
-        // extension would re-check this very orec and fail (versions are
-        // monotonic), so abort outright rather than pay a doomed rescan.
+      } else if (Orec::Version(w) > d.start) {
         AbortCurrent(d, Counter::kAborts, AbortCause::kCommitValidation, o);
       }
     }
@@ -137,10 +104,8 @@ bool LazyStm::CommitTx(TxDesc& d) {
     l.orec->word.store(Orec::MakeVersion(end), std::memory_order_release);
   }
   quiesce_.SetInactive(d.tid);
-  if (cfg_.privatization_safety) {
-    d.stats.Bump(Counter::kQuiesceCalls);
-    quiesce_.WaitForReadersBefore(end, d.tid);
-  }
+  d.stats.Bump(Counter::kQuiesceCalls);
+  quiesce_.WaitForReadersBefore(end, d.tid);
   return true;
 }
 

@@ -7,77 +7,7 @@
 
 namespace tcs {
 
-namespace {
-
-bool SameArgs(const WaitArgs& a, const WaitArgs& b) {
-  if (a.n != b.n) {
-    return false;
-  }
-  for (std::uint32_t i = 0; i < a.n; ++i) {
-    if (a.v[i] != b.v[i]) {
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
 SimHtm::SimHtm(const TmConfig& config) : TmSystem(config) {}
-
-std::uint8_t SimHtm::RegisterPred(WaitPredFn fn, const WaitArgs& args) {
-  SpinLockGuard g(pred_table_lock_);
-  // Index 0 means "unregistered"; kHtmAbortCondSync is reserved.
-  for (int i = 1; i < static_cast<int>(kHtmAbortCondSync); ++i) {
-    PredEntry& e = pred_table_[static_cast<std::size_t>(i)];
-    if (e.fn == fn && SameArgs(e.args, args)) {
-      return static_cast<std::uint8_t>(i);
-    }
-    if (e.fn == nullptr) {
-      e.fn = fn;
-      e.args = args;
-      // mo: release — publishes the entry just written above; pairs with the
-      // acquire load in LookupPred so a looked-up index reads initialized data.
-      pred_table_size_.fetch_add(1, std::memory_order_release);
-      return static_cast<std::uint8_t>(i);
-    }
-  }
-  return 0;
-}
-
-std::uint8_t SimHtm::LookupPred(WaitPredFn fn, const WaitArgs& args) {
-  // mo: acquire — pairs with the release fetch_add in RegisterPred; entries
-  // below `n` are fully initialized.
-  int n = pred_table_size_.load(std::memory_order_acquire);
-  for (int i = 1; i <= n && i < static_cast<int>(kHtmAbortCondSync); ++i) {
-    const PredEntry& e = pred_table_[static_cast<std::size_t>(i)];
-    if (e.fn == fn && SameArgs(e.args, args)) {
-      return static_cast<std::uint8_t>(i);
-    }
-  }
-  return 0;
-}
-
-void SimHtm::MaybeHwPredTableDeschedule(TxDesc& d, WaitPredFn fn,
-                                        const WaitArgs& args) {
-  if (!cfg_.htm_pred_table || d.htm_serial) {
-    return;
-  }
-  std::uint8_t code = LookupPred(fn, args);
-  if (code == 0) {
-    return;  // unregistered combination: take the software-mode path
-  }
-  // The hardware transaction aborts with `code`; the (simulated) abort handler
-  // recovers ⟨fn, args⟩ from the table and descheds directly — no serial
-  // re-execution of the transaction body (§2.2.6).
-  d.htm_abort_code = code;
-  d.stats.Bump(Counter::kHtmExplicitAborts);
-  d.stats.Bump(Counter::kHtmPredTableFastPath);
-  d.obs.causes.Bump(AbortCause::kHtmExplicit);
-  Rollback(d);
-  d.nesting = 0;
-  Deschedule(pred_table_[code].fn, pred_table_[code].args);
-}
 
 void SimHtm::EnterSerial(TxDesc& d) {
   serial_entry_lock_.Lock();
@@ -291,12 +221,10 @@ bool SimHtm::CommitTx(TxDesc& d) {
   // single total order of flag accesses.
   quiesce_.CommitFlag(d.tid).store(0, std::memory_order_seq_cst);
   quiesce_.SetInactive(d.tid);
-  if (cfg_.privatization_safety) {
-    // Real HTM commits are atomic and privatization-safe by construction; the
-    // emulated write-back is not, so reuse the STM quiescence fence.
-    d.stats.Bump(Counter::kQuiesceCalls);
-    quiesce_.WaitForReadersBefore(end, d.tid);
-  }
+  // Real HTM commits are atomic and privatization-safe by construction; the
+  // emulated write-back is not, so reuse the STM quiescence fence.
+  d.stats.Bump(Counter::kQuiesceCalls);
+  quiesce_.WaitForReadersBefore(end, d.tid);
   return true;
 }
 
@@ -360,14 +288,6 @@ void SimHtm::PartialRollback(TxDesc& d, const TxSavepoint& sp) {
   d.locks.resize(sp.locks_size);
   if (released > 0) {
     d.stats.Bump(Counter::kOrElseOrecReleases, released);
-    if (cfg_.timestamp_extension) {
-      // Unlike eager's prev+1 bump, the exact-version release leaves the
-      // transaction consistent as-is, so the shared extension is opportunistic
-      // here: on success the surviving branch tolerates more foreign commits
-      // before aborting; on failure `start` is untouched and commit-time
-      // validation still decides.
-      TryExtendTimestamp(d, ExtendSite::kOrecRelease);
-    }
   }
 }
 
@@ -435,9 +355,8 @@ void SimHtm::ExitWakeClaimRegion(TxDesc& d) {
 }
 
 void SimHtm::SwitchToSoftwareMode(TxDesc& d, bool enable_retry_logging) {
-  // The hardware transaction aborts with the condition-synchronization code and
-  // the dispatcher re-executes it serially, where escape actions are legal.
-  d.htm_abort_code = kHtmAbortCondSync;
+  // The hardware transaction aborts explicitly (XABORT) and the dispatcher
+  // re-executes it serially, where escape actions are legal.
   d.htm_software_next = true;
   if (enable_retry_logging) {
     d.retry_logging = true;

@@ -7,7 +7,10 @@
 //  * conflict detection at 64-byte cache-line granularity, requester-loses on
 //    encountering another transaction's line;
 //  * capacity aborts beyond configurable read/write line budgets;
-//  * explicit aborts carrying an 8-bit code (Intel XABORT);
+//  * explicit aborts (Intel XABORT), which the condition-synchronization layer
+//    uses to request a software-mode re-execution; the paper's §2.2.6 idea of
+//    using XABORT's 8-bit code to name a registered WaitPred predicate, and so
+//    skip that re-execution, is not modelled;
 //  * no escape actions inside a hardware transaction — a transaction cannot
 //    publish a waitset or sleep without first aborting (§2.2.2);
 //  * progress rule: after `htm_max_attempts` hardware aborts the transaction
@@ -25,7 +28,6 @@
 #ifndef TCS_TM_SIM_HTM_H_
 #define TCS_TM_SIM_HTM_H_
 
-#include <array>
 #include <atomic>
 
 #include "src/common/spin_lock.h"
@@ -33,22 +35,9 @@
 
 namespace tcs {
 
-// Explicit-abort codes (the 8-bit XABORT immediate). Values 1..255 are available;
-// the condition-synchronization layer reserves one for "re-execute in software
-// mode"; with the pred-table extension (§2.2.6) the remaining values index
-// registered WaitPred predicates.
-inline constexpr std::uint8_t kHtmAbortCondSync = 0xFF;
-
 class SimHtm final : public TmSystem {
  public:
   explicit SimHtm(const TmConfig& config);
-
-  // §2.2.6 extension: register a ⟨predicate, arguments⟩ combination so a hardware
-  // transaction can request descheduling via its 8-bit abort code, with no
-  // software-mode re-execution ("if the total set of reschedule function/
-  // parameter combinations is less than 255"). Returns the table index
-  // (1..254), or 0 if the table is full. Requires config htm_pred_table.
-  std::uint8_t RegisterPred(WaitPredFn fn, const WaitArgs& args);
 
   bool InSerialMode() { return Desc().htm_serial; }
 
@@ -63,8 +52,6 @@ class SimHtm final : public TmSystem {
   void PrepareAwait(TxDesc& d, const TmWord* const* addrs, std::size_t n) override;
   bool NeedsSoftwareForCondSync(TxDesc& d) override;
   [[noreturn]] void SwitchToSoftwareMode(TxDesc& d, bool enable_retry_logging) override;
-  void MaybeHwPredTableDeschedule(TxDesc& d, WaitPredFn fn,
-                                  const WaitArgs& args) override;
   // CAS wake-claim fast path: serial-irrevocable software mode writes with no
   // orecs, so a non-transactional claimer must join the commit-flag /
   // serial-token Dekker handshake (same shape as CommitTx's hardware commit
@@ -97,17 +84,6 @@ class SimHtm final : public TmSystem {
   std::atomic<int> serial_owner_{-1};
   std::atomic<std::uint64_t> serial_seq_{0};
   SpinLock serial_entry_lock_;
-
-  // Pred-table extension state.
-  struct PredEntry {
-    WaitPredFn fn = nullptr;
-    WaitArgs args;
-  };
-  std::uint8_t LookupPred(WaitPredFn fn, const WaitArgs& args);
-
-  SpinLock pred_table_lock_;
-  std::array<PredEntry, 256> pred_table_{};
-  std::atomic<int> pred_table_size_{0};
 };
 
 }  // namespace tcs

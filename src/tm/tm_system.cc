@@ -211,12 +211,10 @@ void TmSystem::Begin() {
     // occurrence bookkeeping resets.
     d.orelse_alts = 0;
     d.wait_keys_this_attempt.clear();
-    if (cfg_.latency_metrics) {
-      // Each attempt resets the clock: commit latency measures the attempt
-      // that succeeded. first_abort_ns (set in AbortCurrent) spans restarts
-      // and feeds abort_to_commit.
-      d.obs.tx_begin_ns = ObsNowNs();
-    }
+    // Each attempt resets the clock: commit latency measures the attempt that
+    // succeeded. first_abort_ns (set in AbortCurrent) spans restarts and
+    // feeds abort_to_commit.
+    d.obs.tx_begin_ns = ObsNowNs();
     TCS_TRACE_EVENT(d, TraceEvent::kTxBegin, 0);
   }
   BeginTx(d);
@@ -238,7 +236,7 @@ void TmSystem::Commit() {
   std::vector<DeferredCvSignal>& signals = d.post_commit_signals;
   if (!internal) {
     TCS_TRACE_EVENT(d, TraceEvent::kTxCommit, 0);
-    if (cfg_.latency_metrics && d.obs.tx_begin_ns != 0) {
+    if (d.obs.tx_begin_ns != 0) {
       std::uint64_t now = ObsNowNs();
       d.obs.commit_latency.Record(now - d.obs.tx_begin_ns);
       if (d.obs.first_abort_ns != 0 && now >= d.obs.first_abort_ns) {
@@ -313,7 +311,6 @@ void TmSystem::ResetDescAfterTx(TxDesc& d) {
   d.wait_keys_this_attempt.clear();
   d.htm_software_next = false;
   d.htm_attempts = 0;
-  d.htm_abort_code = 0;
   d.woke_from_sleep = false;
   d.skip_backoff = false;
   d.commit_orecs.clear();
@@ -334,7 +331,7 @@ void TmSystem::AbortCurrent(TxDesc& d, Counter reason, AbortCause cause,
   if (conflict != nullptr) {
     d.obs.hot_orecs.Bump(orecs_.IndexOf(conflict));
   }
-  if (cfg_.latency_metrics && !d.internal && d.obs.first_abort_ns == 0) {
+  if (!d.internal && d.obs.first_abort_ns == 0) {
     d.obs.first_abort_ns = ObsNowNs();
   }
   if (!d.internal) {
@@ -456,23 +453,8 @@ void TmSystem::SnapshotCommitOrecsFromUndoIfNeeded(TxDesc& d) {
   }
 }
 
-bool TmSystem::TryExtendTimestamp(TxDesc& d, ExtendSite site,
-                                  const ReleasedOrecWord* released,
+bool TmSystem::TryExtendTimestamp(TxDesc& d, const ReleasedOrecWord* released,
                                   std::size_t released_n) {
-  switch (site) {
-    case ExtendSite::kValidation:
-      d.stats.Bump(Counter::kExtendOnValidation);
-      break;
-    case ExtendSite::kOrecRelease:
-      d.stats.Bump(Counter::kExtendOnOrecRelease);
-      break;
-    case ExtendSite::kCommitValidation:
-      d.stats.Bump(Counter::kExtendOnCommitValidation);
-      break;
-    case ExtendSite::kEncounterAcquisition:
-      d.stats.Bump(Counter::kExtendOnEncounterAcquisition);
-      break;
-  }
   // Sample the clock *before* revalidating: a commit that lands between the
   // sample and the checks makes some read orec too new and the extension
   // fails, never the reverse.
@@ -667,8 +649,6 @@ WaitResult TmSystem::WaitPredFor(WaitPredFn fn, const WaitArgs& args,
     return WaitResult::kTimedOut;
   }
   if (NeedsSoftwareForCondSync(d)) {
-    // No pred-table fast path here: the 8-bit abort code cannot carry a
-    // deadline, so timed predicate waits always take the software-mode route.
     SwitchToSoftwareMode(d, /*enable_retry_logging=*/false);
   }
   DescheduleImpl(fn, args, /*timed=*/true);
@@ -724,17 +704,9 @@ void TmSystem::WaitPred(WaitPredFn fn, const WaitArgs& args) {
   TxDesc& d = Desc();
   TCS_CHECK_MSG(d.nesting > 0, "WaitPred outside transaction");
   if (NeedsSoftwareForCondSync(d)) {
-    MaybeHwPredTableDeschedule(d, fn, args);  // fast path; descheds if it applies
     SwitchToSoftwareMode(d, /*enable_retry_logging=*/false);
   }
   Deschedule(fn, args);
-}
-
-void TmSystem::MaybeHwPredTableDeschedule(TxDesc& d, WaitPredFn fn,
-                                          const WaitArgs& args) {
-  (void)d;
-  (void)fn;
-  (void)args;
 }
 
 void TmSystem::RetryOrig() {

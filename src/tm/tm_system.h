@@ -286,12 +286,6 @@ class TmSystem {
   virtual bool EnterWakeClaimRegion(TxDesc& d);
   virtual void ExitWakeClaimRegion(TxDesc& d);
 
-  // §2.2.6 pred-table extension: if the (predicate, arguments) combination is
-  // registered, a hardware transaction can deschedule through its 8-bit abort
-  // code with no software-mode re-execution. Either descheds (never returns) or
-  // returns to let the caller take the software-mode path. Default: no-op.
-  virtual void MaybeHwPredTableDeschedule(TxDesc& d, WaitPredFn fn,
-                                          const WaitArgs& args);
   // Aborts the hardware transaction and arranges a software-mode re-execution.
   [[noreturn]] virtual void SwitchToSoftwareMode(TxDesc& d, bool enable_retry_logging);
 
@@ -303,21 +297,7 @@ class TmSystem {
                                  AbortCause cause = AbortCause::kExplicit,
                                  const Orec* conflict = nullptr);
 
-  // --- unified timestamp extension (Riegel et al. [22]) ---
-  // Where an extension attempt originates, for the per-site stats counters:
-  // a too-new read (kValidation), an OrElse branch's orec release
-  // (kOrecRelease), lazy STM's commit-time validation — write-orec
-  // acquisition and read-set revalidation alike (kCommitValidation) — or
-  // eager STM's encounter-time write-orec acquisition on a too-new orec
-  // (kEncounterAcquisition: the blind in-place write doesn't depend on the
-  // location's old value, so intact reads make the acquisition salvageable,
-  // mirroring lazy's commit-time case).
-  enum class ExtendSite {
-    kValidation,
-    kOrecRelease,
-    kCommitValidation,
-    kEncounterAcquisition,
-  };
+  // --- timestamp extension (Riegel et al. [22]) ---
   // An orec this transaction itself just released, with the word it published;
   // revalidation treats a read orec holding exactly that word as unchanged
   // (the value beneath was restored before the release, and we held the lock
@@ -326,18 +306,16 @@ class TmSystem {
     const Orec* orec;
     std::uint64_t word;
   };
-  // The one extension path shared by every caller: eager/lazy read validation
-  // failure, eager OrElse orec release (which must tolerate its own release
-  // bumps), and the simulated HTM's buffered-mode branch-line release.
-  // Revalidates the read set against the current clock — an unlocked read orec
-  // at or below `start` is unchanged since it was read, because committed
-  // versions always exceed any concurrently sampled start — and on success
-  // advances d.start (and the quiesce entry) to the sampled clock. Returns
-  // false (leaving d.start untouched) if any read orec shows foreign
-  // interference.
-  bool TryExtendTimestamp(TxDesc& d, ExtendSite site,
-                          const ReleasedOrecWord* released = nullptr,
-                          std::size_t released_n = 0);
+  // Eager STM's OrElse orec release is the one caller: its prev+1 release
+  // bumps publish versions past `start`, so the surviving branch needs the
+  // extension (every other too-new access aborts, Appendix A). Revalidates the
+  // read set against the current clock — an unlocked read orec at or below
+  // `start` is unchanged since it was read, because committed versions always
+  // exceed any concurrently sampled start — and on success advances d.start
+  // (and the quiesce entry) to the sampled clock. Returns false (leaving
+  // d.start untouched) if any read orec shows foreign interference.
+  bool TryExtendTimestamp(TxDesc& d, const ReleasedOrecWord* released,
+                          std::size_t released_n);
 
   // Deschedule's rollback: like an abort, but allocations are kept alive until
   // after wakeup because the published waitset may point into them (§2.2.4).

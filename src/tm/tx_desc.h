@@ -179,7 +179,6 @@ struct TxDesc {
   bool htm_software_next = false;  // next attempt must run in serial software mode
   int htm_attempts = 0;            // hardware aborts since last success
   std::uint64_t htm_serial_seq0 = 0;
-  std::uint8_t htm_abort_code = 0;
 
   // --- restart-loop support ---
   Backoff backoff;

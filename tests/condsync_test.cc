@@ -993,6 +993,29 @@ TEST(SimHtmCondSyncTest, RetryFallsBackToSoftwareMode) {
   waiter.join();
 }
 
+// WaitPred's hardware-to-software path: a hardware transaction cannot
+// deschedule, so it aborts explicitly and re-executes serially.
+TEST(SimHtmCondSyncTest, WaitPredFallsBackToSoftwareMode) {
+  Runtime rt(ConfigFor(Backend::kSimHtm));
+  TVar<std::uint64_t> flag(0);
+  WaitArgs args;
+  args.v[0] = reinterpret_cast<TmWord>(&flag);
+  args.n = 1;
+  std::thread waiter([&] {
+    Atomically(rt.sys(), [&](Tx& tx) {
+      if (tx.Load(flag) == 0) {
+        tx.WaitPred(&FlagSetPred, args);
+      }
+    });
+  });
+  AwaitCounter(rt, Counter::kSleeps, 1);
+  TxStats s = rt.AggregateStats();
+  EXPECT_GE(s.Get(Counter::kHtmExplicitAborts), 1u);
+  EXPECT_GE(s.Get(Counter::kHtmFallbacks), 1u);
+  Atomically(rt.sys(), [&](Tx& tx) { tx.Store(flag, std::uint64_t{1}); });
+  waiter.join();
+}
+
 TEST(SimHtmCondSyncTest, NonWaitingTransactionsStayInHardwareMode) {
   Runtime rt(ConfigFor(Backend::kSimHtm));
   std::uint64_t x = 0;

@@ -1,309 +1,151 @@
-// Regression coverage for the unified timestamp-extension path
-// (TmSystem::TryExtendTimestamp): one implementation now serves
-//  * plain validation-failure extension on a too-new read (eager AND lazy STM),
-//  * the eager OrElse partial-rollback orec release (which must extend — its
-//    release bumps publish versions past the transaction's start),
-//  * the simulated HTM's buffered-mode branch-line release (opportunistic), and
-//  * lazy STM's commit-time validation (write-orec acquisition on a too-new
-//    orec, and read-set revalidation) — instead of aborting outright.
-// The per-site counters (kExtendOnValidation / kExtendOnOrecRelease /
-// kExtendOnCommitValidation) prove the call sites actually funnel through the
-// shared path rather than keeping private revalidation loops.
+// Too-new accesses and the one timestamp extension.
+//
+// STM validation follows Appendix A's conservative rule: an access that meets
+// an orec committed past the transaction's start aborts the attempt, and the
+// retry runs against the committed state. Each such site keeps a test here:
+// eager and lazy reads, eager STM's encounter-time write acquisition and lazy
+// STM's commit-time write acquisition. The one timestamp extension
+// (TmSystem::TryExtendTimestamp) serves eager STM's OrElse orec release, whose
+// prev+1 release bumps would otherwise abort the surviving branch.
 #include <gtest/gtest.h>
 
 #include <functional>
-#include <semaphore>
-#include <thread>
+#include <string>
+#include <utility>
 
 #include "src/core/runtime.h"
 #include "src/core/transaction.h"
+#include "tests/parked_tx.h"
 
 namespace tcs {
 namespace {
 
-TmConfig ExtConfig(Backend b, bool extension = true) {
+TmConfig ConfigFor(Backend b) {
   TmConfig cfg;
   cfg.backend = b;
-  cfg.timestamp_extension = extension;
-  // Some tests park a transaction mid-flight on purpose; commit-time
-  // quiescence would deadlock against that.
-  cfg.privatization_safety = false;
   cfg.max_threads = 8;
   return cfg;
 }
 
-class ValidationExtensionTest : public ::testing::TestWithParam<Backend> {};
-
-// A concurrent commit to an unrelated location makes the next read too new;
-// the shared extension must revalidate and salvage it on eager and lazy alike.
-TEST_P(ValidationExtensionTest, SalvagesReadAfterUnrelatedCommit) {
-  Runtime rt(ExtConfig(GetParam()));
-  TVar<std::uint64_t> x(1);
-  TVar<std::uint64_t> y(2);
-  std::binary_semaphore reader_paused{0};
-  std::binary_semaphore writer_done{0};
-
-  std::thread reader([&] {
-    bool paused = false;
-    auto pair = Atomically(rt.sys(), [&](Tx& tx) {
-      std::uint64_t a = tx.Load(x);
-      if (!paused) {
-        paused = true;
-        reader_paused.release();
-        writer_done.acquire();  // let a writer commit mid-transaction
-      }
-      std::uint64_t b = tx.Load(y);
-      return std::make_pair(a, b);
-    });
-    EXPECT_EQ(pair.first, 1u);
-    EXPECT_EQ(pair.second, 20u);
-  });
-  reader_paused.acquire();
-  Atomically(rt.sys(), [&](Tx& tx) { tx.Store(y, std::uint64_t{20}); });
-  writer_done.release();
-  reader.join();
-
-  TxStats s = rt.AggregateStats();
-  EXPECT_GE(s.Get(Counter::kTimestampExtensions), 1u);
-  EXPECT_GE(s.Get(Counter::kExtendOnValidation), 1u)
-      << "validation failure must reach the shared extension path";
-  EXPECT_EQ(s.Get(Counter::kExtendOnOrecRelease), 0u);
-  EXPECT_EQ(s.Get(Counter::kAborts), 0u);
+std::uint64_t Aborts(Runtime& rt, AbortCause cause) {
+  return rt.sys().SnapshotObs().abort_causes[static_cast<int>(cause)];
 }
 
-// A commit that touched a location the transaction already read must defeat
-// the extension: revalidation fails and the attempt aborts.
-TEST_P(ValidationExtensionTest, ConflictingCommitStillAborts) {
-  Runtime rt(ExtConfig(GetParam()));
-  TVar<std::uint64_t> x(1);
-  TVar<std::uint64_t> y(2);
-  std::binary_semaphore reader_paused{0};
-  std::binary_semaphore writer_done{0};
-
-  std::thread reader([&] {
-    bool paused = false;
-    Atomically(rt.sys(), [&](Tx& tx) {
-      std::uint64_t a = tx.Load(x);
-      (void)a;
-      if (!paused) {
-        paused = true;
-        reader_paused.release();
-        writer_done.acquire();
-      }
-      (void)tx.Load(y);
-      EXPECT_EQ(tx.Load(x), 10u);  // only a post-abort attempt gets here
-    });
-  });
-  reader_paused.acquire();
-  Atomically(rt.sys(), [&](Tx& tx) {
-    tx.Store(x, std::uint64_t{10});
-    tx.Store(y, std::uint64_t{20});
-  });
-  writer_done.release();
-  reader.join();
-
-  TxStats s = rt.AggregateStats();
-  EXPECT_GE(s.Get(Counter::kAborts), 1u);
-  EXPECT_GE(s.Get(Counter::kExtendOnValidation), 1u)
-      << "the failed salvage attempt still goes through the shared path";
-  EXPECT_EQ(s.Get(Counter::kTimestampExtensions), 0u)
-      << "a defeated extension must not advance the timestamp";
+std::string StmName(const ::testing::TestParamInfo<Backend>& info) {
+  return info.param == Backend::kEagerStm ? "EagerStm" : "LazyStm";
 }
 
-INSTANTIATE_TEST_SUITE_P(StmBackends, ValidationExtensionTest,
+class TooNewReadTest : public ::testing::TestWithParam<Backend> {};
+
+// A concurrent commit to an unrelated location makes the next read too new:
+// the read aborts rather than extending, and the retry reads the new value.
+TEST_P(TooNewReadTest, UnrelatedCommitAbortsTheRead) {
+  Runtime rt(ConfigFor(GetParam()));
+  TVar<std::uint64_t> x(1);
+  TVar<std::uint64_t> y(2);
+  std::pair<std::uint64_t, std::uint64_t> seen;
+  RunWithParkedTx(
+      rt,
+      [&](Tx& tx, const ParkFn& park) {
+        std::uint64_t a = tx.Load(x);
+        park();
+        seen = {a, tx.Load(y)};
+      },
+      [&](Tx& tx) { tx.Store(y, std::uint64_t{20}); });
+  EXPECT_EQ(seen.first, 1u);
+  EXPECT_EQ(seen.second, 20u);
+  EXPECT_GE(Aborts(rt, AbortCause::kReadValidation), 1u);
+  EXPECT_EQ(rt.AggregateStats().Get(Counter::kTimestampExtensions), 0u);
+}
+
+// The commit also overwrote a location the transaction had already read: the
+// attempt aborts, and the re-execution observes the new x.
+TEST_P(TooNewReadTest, ConflictingCommitStillAborts) {
+  Runtime rt(ConfigFor(GetParam()));
+  TVar<std::uint64_t> x(1);
+  TVar<std::uint64_t> y(2);
+  std::uint64_t seen_x = 0;
+  RunWithParkedTx(
+      rt,
+      [&](Tx& tx, const ParkFn& park) {
+        (void)tx.Load(x);
+        park();
+        (void)tx.Load(y);
+        seen_x = tx.Load(x);  // only a post-abort attempt gets here
+      },
+      [&](Tx& tx) {
+        tx.Store(x, std::uint64_t{10});
+        tx.Store(y, std::uint64_t{20});
+      });
+  EXPECT_EQ(seen_x, 10u);
+  EXPECT_GE(rt.AggregateStats().Get(Counter::kAborts), 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(StmBackends, TooNewReadTest,
                          ::testing::Values(Backend::kEagerStm,
                                            Backend::kLazyStm),
-                         [](const ::testing::TestParamInfo<Backend>& info) {
-                           return info.param == Backend::kEagerStm ? "EagerStm"
-                                                                   : "LazyStm";
-                         });
+                         StmName);
 
-// --- lazy commit-time validation extension (ROADMAP follow-up) ---
+// A transaction loads x, parks while another transaction commits, then
+// stores y = x + 10. Eager STM acquires y's orec at that store (encounter
+// time), lazy STM at commit; either way the orec is newer than the
+// transaction's start. The write does not depend on y's old value, but the
+// conservative rule aborts anyway, at that site.
+class TooNewWriteTest : public ::testing::TestWithParam<Backend> {
+ protected:
+  TooNewWriteTest() : rt_(ConfigFor(GetParam())), x_(1), y_(2) {}
 
-// Shared scaffolding for the commit-validation trio: a lazy transaction loads
-// x, pauses mid-flight while `interleaved` commits, then buffer-writes
-// y = x + 10 and commits — so its write orec (and possibly its read of x) is
-// stale by commit time.
-void RunPausedLazyWriter(Runtime& rt, TVar<std::uint64_t>& x,
-                         TVar<std::uint64_t>& y,
-                         const std::function<void()>& interleaved) {
-  std::binary_semaphore writer_paused{0};
-  std::binary_semaphore other_done{0};
-  std::thread writer([&] {
-    bool paused = false;
-    Atomically(rt.sys(), [&](Tx& tx) {
-      std::uint64_t a = tx.Load(x);
-      if (!paused) {
-        paused = true;
-        writer_paused.release();
-        other_done.acquire();  // let another writer commit mid-transaction
-      }
-      tx.Store(y, a + 10);  // buffered; orec acquired at commit
-    });
-  });
-  writer_paused.acquire();
-  interleaved();
-  other_done.release();
-  writer.join();
+  AbortCause AcquisitionSite() const {
+    return GetParam() == Backend::kEagerStm ? AbortCause::kEncounterAcquisition
+                                            : AbortCause::kCommitValidation;
+  }
+
+  void RunParkedWriter(const std::function<void(Tx&)>& interfere) {
+    RunWithParkedTx(
+        rt_,
+        [&](Tx& tx, const ParkFn& park) {
+          std::uint64_t a = tx.Load(x_);
+          park();
+          tx.Store(y_, a + 10);
+        },
+        interfere);
+  }
+
+  Runtime rt_;
+  TVar<std::uint64_t> x_;
+  TVar<std::uint64_t> y_;
+};
+
+TEST_P(TooNewWriteTest, UnrelatedCommitAbortsTheAcquisition) {
+  RunParkedWriter([&](Tx& tx) { tx.Store(y_, std::uint64_t{20}); });
+  EXPECT_GE(Aborts(rt_, AcquisitionSite()), 1u);
+  EXPECT_EQ(rt_.AggregateStats().Get(Counter::kTimestampExtensions), 0u);
+  EXPECT_EQ(y_.UnsafeRead(), 11u) << "the retried attempt lands a+10";
 }
 
-// Lazy STM acquires its write orecs only at commit. If another thread
-// committed to a to-be-written location in the meantime, the orec is too new
-// for this transaction's start — but the buffered write doesn't depend on the
-// old value, so the shared extension (revalidate the read set, advance start)
-// must salvage the commit instead of aborting outright.
-TEST(CommitValidationExtensionTest, LazySalvagesWriteAcquisitionAfterConcurrentCommit) {
-  Runtime rt(ExtConfig(Backend::kLazyStm));
-  TVar<std::uint64_t> x(1);
-  TVar<std::uint64_t> y(2);
-  RunPausedLazyWriter(rt, x, y, [&] {
-    Atomically(rt.sys(), [&](Tx& tx) { tx.Store(y, std::uint64_t{20}); });
+// The commit also overwrote x, which the transaction read: the re-execution
+// must see x = 5.
+TEST_P(TooNewWriteTest, ReadConflictRetrySeesNewValue) {
+  RunParkedWriter([&](Tx& tx) {
+    tx.Store(x_, std::uint64_t{5});
+    tx.Store(y_, std::uint64_t{20});
   });
-
-  TxStats s = rt.AggregateStats();
-  EXPECT_GE(s.Get(Counter::kExtendOnCommitValidation), 1u)
-      << "commit-time acquisition must reach the shared extension path";
-  EXPECT_GE(s.Get(Counter::kTimestampExtensions), 1u);
-  EXPECT_EQ(s.Get(Counter::kAborts), 0u)
-      << "the extension should have salvaged the commit without an abort";
-  EXPECT_EQ(y.UnsafeRead(), 11u);
+  EXPECT_GE(Aborts(rt_, AcquisitionSite()), 1u);
+  EXPECT_EQ(y_.UnsafeRead(), 15u) << "the re-execution must see x=5";
 }
 
-// A concurrent commit that also touched a location this transaction *read*
-// must still defeat the commit-time extension: revalidation fails, the
-// attempt aborts, and the re-execution observes the new state.
-TEST(CommitValidationExtensionTest, LazyCommitExtensionFailsOnRealReadConflict) {
-  Runtime rt(ExtConfig(Backend::kLazyStm));
-  TVar<std::uint64_t> x(1);
-  TVar<std::uint64_t> y(2);
-  RunPausedLazyWriter(rt, x, y, [&] {
-    Atomically(rt.sys(), [&](Tx& tx) {
-      tx.Store(x, std::uint64_t{5});  // invalidates the writer's read
-      tx.Store(y, std::uint64_t{20});
-    });
-  });
+INSTANTIATE_TEST_SUITE_P(StmBackends, TooNewWriteTest,
+                         ::testing::Values(Backend::kEagerStm,
+                                           Backend::kLazyStm),
+                         StmName);
 
-  TxStats s = rt.AggregateStats();
-  EXPECT_GE(s.Get(Counter::kExtendOnCommitValidation), 1u)
-      << "the failed salvage attempt still goes through the shared path";
-  EXPECT_GE(s.Get(Counter::kAborts), 1u);
-  EXPECT_EQ(s.Get(Counter::kTimestampExtensions), 0u)
-      << "a defeated extension must not advance the timestamp";
-  EXPECT_EQ(y.UnsafeRead(), 15u) << "the re-execution must see x=5";
-}
-
-// With the knob off, the commit-time site must not attempt extension at all.
-TEST(CommitValidationExtensionTest, DisabledExtensionStillAbortsOutright) {
-  Runtime rt(ExtConfig(Backend::kLazyStm, /*extension=*/false));
-  TVar<std::uint64_t> x(1);
-  TVar<std::uint64_t> y(2);
-  RunPausedLazyWriter(rt, x, y, [&] {
-    Atomically(rt.sys(), [&](Tx& tx) { tx.Store(y, std::uint64_t{20}); });
-  });
-
-  TxStats s = rt.AggregateStats();
-  EXPECT_EQ(s.Get(Counter::kExtendOnCommitValidation), 0u);
-  EXPECT_GE(s.Get(Counter::kAborts), 1u);
-  EXPECT_EQ(y.UnsafeRead(), 11u) << "the retried attempt still lands a+10";
-}
-
-// --- eager encounter-time write-orec acquisition extension ---
-
-// Same scaffolding as the lazy trio, but on eager STM the write happens at
-// encounter time: the transaction loads x, pauses while `interleaved`
-// commits, then stores y = x + 10 in place — so WriteWord meets y's orec
-// already committed past its start.
-void RunPausedEagerWriter(Runtime& rt, TVar<std::uint64_t>& x,
-                          TVar<std::uint64_t>& y,
-                          const std::function<void()>& interleaved) {
-  std::binary_semaphore writer_paused{0};
-  std::binary_semaphore other_done{0};
-  std::thread writer([&] {
-    bool paused = false;
-    Atomically(rt.sys(), [&](Tx& tx) {
-      std::uint64_t a = tx.Load(x);
-      if (!paused) {
-        paused = true;
-        writer_paused.release();
-        other_done.acquire();  // let another writer commit mid-transaction
-      }
-      tx.Store(y, a + 10);  // in place; orec acquired right here
-    });
-  });
-  writer_paused.acquire();
-  interleaved();
-  other_done.release();
-  writer.join();
-}
-
-// Eager STM used to abort outright when the encounter-time acquisition found
-// a too-new orec, even though the blind in-place write doesn't depend on the
-// location's old value — the reads-intact case is genuinely salvageable,
-// exactly like lazy's commit-time acquisition (which got the fix in PR 4).
-TEST(EncounterAcquisitionExtensionTest, EagerSalvagesAcquisitionAfterConcurrentCommit) {
-  Runtime rt(ExtConfig(Backend::kEagerStm));
-  TVar<std::uint64_t> x(1);
-  TVar<std::uint64_t> y(2);
-  RunPausedEagerWriter(rt, x, y, [&] {
-    Atomically(rt.sys(), [&](Tx& tx) { tx.Store(y, std::uint64_t{20}); });
-  });
-
-  TxStats s = rt.AggregateStats();
-  EXPECT_GE(s.Get(Counter::kExtendOnEncounterAcquisition), 1u)
-      << "encounter-time acquisition must reach the shared extension path";
-  EXPECT_GE(s.Get(Counter::kTimestampExtensions), 1u);
-  EXPECT_EQ(s.Get(Counter::kAborts), 0u)
-      << "the extension should have salvaged the write without an abort";
-  EXPECT_EQ(y.UnsafeRead(), 11u);
-}
-
-// A concurrent commit that also touched a location this transaction *read*
-// must still defeat the encounter-time extension: revalidation fails, the
-// attempt aborts, and the re-execution observes the new state.
-TEST(EncounterAcquisitionExtensionTest, EagerExtensionFailsOnRealReadConflict) {
-  Runtime rt(ExtConfig(Backend::kEagerStm));
-  TVar<std::uint64_t> x(1);
-  TVar<std::uint64_t> y(2);
-  RunPausedEagerWriter(rt, x, y, [&] {
-    Atomically(rt.sys(), [&](Tx& tx) {
-      tx.Store(x, std::uint64_t{5});  // invalidates the writer's read
-      tx.Store(y, std::uint64_t{20});
-    });
-  });
-
-  TxStats s = rt.AggregateStats();
-  EXPECT_GE(s.Get(Counter::kExtendOnEncounterAcquisition), 1u)
-      << "the failed salvage attempt still goes through the shared path";
-  EXPECT_GE(s.Get(Counter::kAborts), 1u);
-  EXPECT_EQ(s.Get(Counter::kTimestampExtensions), 0u)
-      << "a defeated extension must not advance the timestamp";
-  EXPECT_EQ(y.UnsafeRead(), 15u) << "the re-execution must see x=5";
-}
-
-// With the knob off, the encounter-time site must not attempt extension.
-TEST(EncounterAcquisitionExtensionTest, DisabledExtensionStillAbortsOutright) {
-  Runtime rt(ExtConfig(Backend::kEagerStm, /*extension=*/false));
-  TVar<std::uint64_t> x(1);
-  TVar<std::uint64_t> y(2);
-  RunPausedEagerWriter(rt, x, y, [&] {
-    Atomically(rt.sys(), [&](Tx& tx) { tx.Store(y, std::uint64_t{20}); });
-  });
-
-  TxStats s = rt.AggregateStats();
-  EXPECT_EQ(s.Get(Counter::kExtendOnEncounterAcquisition), 0u);
-  EXPECT_GE(s.Get(Counter::kAborts), 1u);
-  EXPECT_EQ(y.UnsafeRead(), 11u) << "the retried attempt still lands a+10";
-}
-
-// --- extension after OrElse orec release ---
+// --- the OrElse orec release ---
 
 // Abandoning a branch that blind-wrote releases its orecs at prev+1, which is
-// newer than the transaction's start — the shared extension is what keeps the
+// newer than the transaction's start — the extension is what keeps the
 // surviving branch able to re-read and re-write those locations.
 TEST(OrecReleaseExtensionTest, EagerReleaseExtendsThroughSharedPath) {
-  // Note: extension on the release path is correctness-relevant, so it runs
-  // even with cfg.timestamp_extension = false.
-  Runtime rt(ExtConfig(Backend::kEagerStm, /*extension=*/false));
+  Runtime rt(ConfigFor(Backend::kEagerStm));
   TVar<std::uint64_t> cell(5);
   Atomically(rt.sys(), [&](Tx& tx) {
     tx.OrElse(
@@ -318,17 +160,16 @@ TEST(OrecReleaseExtensionTest, EagerReleaseExtendsThroughSharedPath) {
   });
   TxStats s = rt.AggregateStats();
   EXPECT_GE(s.Get(Counter::kOrElseOrecReleases), 1u);
-  EXPECT_GE(s.Get(Counter::kExtendOnOrecRelease), 1u)
-      << "the orec release must extend through the shared path";
-  EXPECT_GE(s.Get(Counter::kTimestampExtensions), 1u);
+  EXPECT_GE(s.Get(Counter::kTimestampExtensions), 1u)
+      << "the orec release must extend the timestamp";
   EXPECT_EQ(cell.UnsafeRead(), 6u);
 }
 
 // Simulated HTM, buffered (hardware) mode: the branch's lines release at their
-// exact pre-acquisition version, and with timestamp_extension on, the release
-// also extends opportunistically through the same shared path.
-TEST(OrecReleaseExtensionTest, SimHtmBufferedReleaseUsesSharedPath) {
-  Runtime rt(ExtConfig(Backend::kSimHtm));
+// exact pre-acquisition version, which leaves the transaction consistent, so
+// nothing is extended.
+TEST(OrecReleaseExtensionTest, SimHtmBufferedReleaseNeedsNoExtension) {
+  Runtime rt(ConfigFor(Backend::kSimHtm));
   TVar<std::uint64_t> cell(5);
   TVar<std::uint64_t> other(0);
   Atomically(rt.sys(), [&](Tx& tx) {
@@ -344,58 +185,9 @@ TEST(OrecReleaseExtensionTest, SimHtmBufferedReleaseUsesSharedPath) {
   });
   TxStats s = rt.AggregateStats();
   EXPECT_GE(s.Get(Counter::kOrElseOrecReleases), 1u);
-  EXPECT_GE(s.Get(Counter::kExtendOnOrecRelease), 1u);
+  EXPECT_EQ(s.Get(Counter::kTimestampExtensions), 0u);
   EXPECT_EQ(cell.UnsafeRead(), 5u);
   EXPECT_EQ(other.UnsafeRead(), 1u);
-}
-
-// --- both call sites, one path ---
-
-// One run in which a transaction extends from the orec-release site and
-// another extends from the validation site: both per-site counters tick, and
-// the successes land in the one shared kTimestampExtensions tally — the
-// counter assertion that the call sites really share TryExtendTimestamp.
-TEST(SharedExtensionPathTest, BothCallSitesHitTheSharedPath) {
-  Runtime rt(ExtConfig(Backend::kEagerStm));
-  TVar<std::uint64_t> cell(5);
-  TVar<std::uint64_t> x(1);
-  TVar<std::uint64_t> y(2);
-
-  // Site 1: OrElse orec release.
-  Atomically(rt.sys(), [&](Tx& tx) {
-    tx.OrElse(
-        [&](Tx& t) {
-          t.Store(cell, std::uint64_t{77});
-          t.Retry();
-        },
-        [&](Tx& t) { t.Store(cell, std::uint64_t{6}); });
-  });
-
-  // Site 2: validation-failure extension.
-  std::binary_semaphore reader_paused{0};
-  std::binary_semaphore writer_done{0};
-  std::thread reader([&] {
-    bool paused = false;
-    Atomically(rt.sys(), [&](Tx& tx) {
-      (void)tx.Load(x);
-      if (!paused) {
-        paused = true;
-        reader_paused.release();
-        writer_done.acquire();
-      }
-      (void)tx.Load(y);
-    });
-  });
-  reader_paused.acquire();
-  Atomically(rt.sys(), [&](Tx& tx) { tx.Store(y, std::uint64_t{20}); });
-  writer_done.release();
-  reader.join();
-
-  TxStats s = rt.AggregateStats();
-  EXPECT_GE(s.Get(Counter::kExtendOnOrecRelease), 1u);
-  EXPECT_GE(s.Get(Counter::kExtendOnValidation), 1u);
-  EXPECT_GE(s.Get(Counter::kTimestampExtensions), 2u)
-      << "both sites must succeed through the one shared implementation";
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "src/core/runtime.h"
 #include "src/core/transaction.h"
 #include "src/tm/sim_htm.h"
+#include "tests/parked_tx.h"
 
 // mo-edge: [harness] (minimal: release/acquire) — test/bench harness
 // coordination: flags and counters published by worker threads and
@@ -176,31 +177,18 @@ TEST(SimHtmTest, MixedSerialAndHardwareIsCorrect) {
 
 TEST(SimHtmTest, OverlappingWriterConflictAbortsDeterministically) {
   // A transaction that read the hot line before another writer committed to it
-  // must conflict-abort at its own write. Forced with a mid-transaction
-  // handshake (quiescence off: the paused transaction would otherwise deadlock
-  // the writer's privatization fence).
-  TmConfig cfg = HtmConfig();
-  cfg.privatization_safety = false;
-  Runtime rt(cfg);
+  // must conflict-abort at its own write. Forced by parking it mid-flight while
+  // the interloper commits on a helper thread (see tests/parked_tx.h).
+  Runtime rt(HtmConfig());
   std::uint64_t hot = 0;
-  std::binary_semaphore reader_paused{0};
-  std::binary_semaphore writer_done{0};
-  std::thread t1([&] {
-    bool paused = false;
-    Atomically(rt.sys(), [&](Tx& tx) {
-      std::uint64_t v = tx.Load(hot);
-      if (!paused) {
-        paused = true;
-        reader_paused.release();
-        writer_done.acquire();
-      }
-      tx.Store(hot, v + 1);
-    });
-  });
-  reader_paused.acquire();
-  Atomically(rt.sys(), [&](Tx& tx) { tx.Store(hot, tx.Load(hot) + 10); });
-  writer_done.release();
-  t1.join();
+  RunWithParkedTx(
+      rt,
+      [&](Tx& tx, const ParkFn& park) {
+        std::uint64_t v = tx.Load(hot);
+        park();
+        tx.Store(hot, v + 1);
+      },
+      [&](Tx& tx) { tx.Store(hot, tx.Load(hot) + 10); });
   EXPECT_EQ(hot, 11u);  // 10 from the interloper, then +1 on the clean retry
   EXPECT_GE(rt.AggregateStats().Get(Counter::kHtmConflictAborts), 1u);
 }
