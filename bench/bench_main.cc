@@ -4,7 +4,8 @@
 // comparable PR-to-PR (the CI bench-smoke job uploads it as an artifact).
 // The bounded and parsec scenarios reproduce Figures 2.3-2.5 and 2.6-2.8,
 // wakeup_precision §2.3's tradeoff, waitset_pruning §2.4.2's claim and
-// table_2_1 Table 2.1.
+// table_2_1 Table 2.1; tm_ops times primitive transactions and exits 1 if a
+// commit with no waiter in the domain ran a wake check.
 //
 // Flags (an unknown flag, malformed value or scenario exits 2 up front):
 //   --quick              CI-sized run: eager backend only, small op counts
@@ -13,15 +14,17 @@
 //                        mini-PARSEC at scale 8 with 5 trials
 //   --out=PATH           output file (default BENCH_wakeup.json)
 //   --scenario=NAME      all | wake_index | waiter_scale | bounded | parsec |
-//                        wakeup_precision | waitset_pruning | table_2_1
-//                        (default all)
+//                        wakeup_precision | waitset_pruning | table_2_1 |
+//                        tm_ops (default all)
 //   --ops=N --trials=N --max_side=N      bounded-buffer grid
 //   --scale=N --trials=N --max_threads=N mini-PARSEC grid
 //   --commits=N --many_commits=N         wake-index and waitset_pruning
 //                                        scenarios
 //   --scale_waiters=N    waiter_scale point size (default 1e5, --quick 1e4)
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -30,6 +33,7 @@
 #include "bench/loc_table.h"
 #include "bench/parsec_grid.h"
 #include "src/common/json_writer.h"
+#include "src/sync/bounded_buffer.h"
 #include "bench/waiter_scale.h"
 #include "bench/wake_scenarios.h"
 
@@ -448,6 +452,84 @@ void EmitLocTable(JsonWriter& w) {
   w.EndArray();
 }
 
+// Primitive transaction costs (§2.4.1's instrumentation overhead), one thread
+// and one domain per backend: each transaction shape, plus a Produce+Consume
+// pair on a capacity-128 Retry buffer that never waits. A row is the median of
+// 5 reps of ns per transaction at a fixed iteration count. No waiter ever
+// exists, so any wake check in a row fails the scenario.
+bool EmitTmOps(JsonWriter& w, const std::vector<Backend>& backends) {
+  constexpr std::uint64_t kIters = 100000;
+  bool ok = true;
+  w.Key("tm_ops").BeginArray();
+  for (Backend b : backends) {
+    // A fresh thread per backend: Desc() scans every domain a thread used.
+    std::thread([&] {
+      Runtime rt({.backend = b, .max_threads = 8});
+      TmSystem& sys = rt.sys();
+      TVar<std::uint64_t> x(0);
+      TVar<std::uint64_t> xs[10];
+      BoundedBuffer buf(&rt, Mechanism::kRetry, 128);
+      auto row = [&](const char* name, int txs_per_iter, auto&& body) {
+        const std::uint64_t checks0 =
+            rt.AggregateStats().Get(Counter::kWakeChecks);
+        std::vector<double> ns;
+        for (int rep = 0; rep < 5; ++rep) {
+          const double t0 = NowSec();
+          for (std::uint64_t i = 0; i < kIters; ++i) {
+            body(i);
+          }
+          ns.push_back((NowSec() - t0) * 1e9 /
+                       static_cast<double>(kIters * txs_per_iter));
+        }
+        std::sort(ns.begin(), ns.end());
+        const std::uint64_t checks =
+            rt.AggregateStats().Get(Counter::kWakeChecks) - checks0;
+        ok &= checks == 0;
+        w.BeginObject();
+        w.Key("backend").String(BackendName(b));
+        w.Key("op").String(name);
+        w.Key("iterations").U64(kIters);
+        w.Key("ns_per_tx").Double(ns[2]);
+        w.Key("wake_checks").U64(checks);
+        w.EndObject();
+        std::printf("tm_ops backend=%-10s op=%-14s ns/tx=%.1f "
+                    "wake_checks=%llu\n", BackendName(b), name, ns[2],
+                    static_cast<unsigned long long>(checks));
+      };
+      auto tx = [&](auto fn) {
+        return [&sys, fn](std::uint64_t i) {
+          Atomically(sys, [&](Tx& t) { fn(t, i); });
+        };
+      };
+      row("read_only", 1, tx([&](Tx& t, std::uint64_t) { t.Load(x); }));
+      row("writer", 1,
+          tx([&](Tx& t, std::uint64_t) { t.Store(x, t.Load(x) + 1); }));
+      row("reads_10", 1, tx([&](Tx& t, std::uint64_t) {
+            for (auto& v : xs) {
+              t.Load(v);
+            }
+          }));
+      row("writes_10", 1, tx([&](Tx& t, std::uint64_t) {
+            for (auto& v : xs) {
+              t.Store(v, t.Load(v) + 1);
+            }
+          }));
+      row("read_own_write", 1, tx([&](Tx& t, std::uint64_t i) {
+            t.Store(x, i);
+            t.Load(x);
+          }));
+      row("alloc_free", 1,
+          tx([](Tx& t, std::uint64_t) { t.FreeBytes(t.AllocBytes(64)); }));
+      row("never_waiting", 2, [&](std::uint64_t i) {
+        buf.Produce(i);
+        buf.Consume();
+      });
+    }).join();
+  }
+  w.EndArray();
+  return ok;
+}
+
 int Run(int argc, char** argv) {
   // Every flag is read here, before any scenario runs.
   BenchFlags flags(argc, argv,
@@ -460,11 +542,12 @@ int Run(int argc, char** argv) {
   if (scenario != "all" && scenario != "wake_index" &&
       scenario != "waiter_scale" && scenario != "bounded" &&
       scenario != "parsec" && scenario != "wakeup_precision" &&
-      scenario != "waitset_pruning" && scenario != "table_2_1") {
+      scenario != "waitset_pruning" && scenario != "table_2_1" &&
+      scenario != "tm_ops") {
     std::fprintf(stderr,
                  "unknown scenario: %s (expected all, wake_index, "
                  "waiter_scale, bounded, parsec, wakeup_precision, "
-                 "waitset_pruning or table_2_1)\n",
+                 "waitset_pruning, table_2_1 or tm_ops)\n",
                  scenario.c_str());
     return 2;
   }
@@ -538,13 +621,17 @@ int Run(int argc, char** argv) {
   if (scenario == "all" || scenario == "table_2_1") {
     EmitLocTable(w);
   }
+  bool tm_ops_ok = true;
+  if (scenario == "all" || scenario == "tm_ops") {
+    tm_ops_ok = EmitTmOps(w, backends);
+  }
   w.EndObject();
   w.EndObject();
   if (!w.WriteFile(out)) {
     return 1;
   }
   std::printf("wrote %s\n", out.c_str());
-  return 0;
+  return tm_ops_ok ? 0 : 1;
 }
 
 }  // namespace

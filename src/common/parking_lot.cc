@@ -81,11 +81,6 @@ ParkingLot::ParkingLot(Backend backend) {
 
 ParkingLot::~ParkingLot() = default;
 
-ParkingLot& ParkingLot::Default() {
-  static ParkingLot lot(Backend::kAuto);
-  return lot;
-}
-
 ParkingLot::Bucket& ParkingLot::BucketOf(const ParkSpot& spot) {
   auto a = reinterpret_cast<std::uintptr_t>(&spot);
   // Spots are at least 16-byte objects; drop the dead low bits before the

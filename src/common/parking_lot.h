@@ -106,10 +106,6 @@ class ParkingLot {
   ParkingLot(const ParkingLot&) = delete;
   ParkingLot& operator=(const ParkingLot&) = delete;
 
-  // Process-wide lot for standalone users with no owning TmSystem (the
-  // Retry-Orig registry constructed directly by unit tests).
-  static ParkingLot& Default();
-
   // True when futex backs this lot (bench reporting; pool otherwise).
   bool UsesFutex() const { return use_futex_; }
   // False on a single-CPU machine, where Spin never spins.

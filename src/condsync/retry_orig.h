@@ -15,36 +15,33 @@
 // value this thread's own rollback stored ("released" below); any later writer
 // commit moves the orec past that value, so the check stays conservative.
 //
-// Lost-wakeup exclusion is the [retry-dekker] store-buffering shape (glossary in
-// wake_index.h). Waiter: raise count_ (relaxed RMW), seq_cst fence, validate the
-// read orecs. Writer: release its orecs, seq_cst fence (commit path in
-// tm_system.cc), peek count_. The two fences are the only seq_cst the protocol
-// needs — [atomics.fences] forbids both sides missing each other, so either
-// validation observes the commit (waiter restarts) or the peek observes the
-// raised count (writer scans and posts). The count ops themselves are relaxed
-// riders anchored by the fences.
+// Lost-wakeup exclusion rides [clock-chain] (glossary in wake_index.h), as
+// Deschedule's does. The waiter (WaitForOverlap) raises count_ (relaxed), runs
+// one clock RMW Rw, then loads its read orecs (acquire) under the waiting lock.
+// A writer locks its write orecs, runs its commit RMW Rc, peeks count_
+// (relaxed, SnapshotCommitOrecsIfNeeded), releases at `end`, then calls
+// OnWriterCommit under the waiting lock. Rw and Rc are RMWs on one word, so
+// the later one synchronizes with the earlier. If Rw came first, the peek sees
+// the raise and OnWriterCommit posts the sleeping entry, or runs before the
+// validation, which then sees `end > start`. If Rc came first, the validation
+// sees the writer's locked orec or a later version. An eager attempt's own
+// Rollback clock bump precedes the raise and plays no part. sim-HTM never runs
+// Retry-Orig (TmSystem::RetryOrig checks).
 //
-// Only the writer's POST-fence peek participates in that exclusion. The commit
-// path also peeks count_ earlier, inside SnapshotCommitOrecsIfNeeded, to decide
-// whether copying the write-orec set is worth it — that peek runs before the
-// fence, so the store-buffering outcome can make it miss a racing registration.
-// Missing there is safe because it only skips the copy: when the post-fence
-// peek then finds waiters with no snapshot to intersect, the commit path calls
-// WakeAllSleepers() instead of OnWriterCommit() — every sleeper restarts,
-// revalidates under the waiting lock, and re-sleeps if still valid, so the
-// race costs a spurious wakeup, never a lost one.
+// A waiter whose read set is empty (it read only its own writes, which neither
+// STM records) can match no write set, so any writer commit posts it.
 #ifndef TCS_CONDSYNC_RETRY_ORIG_H_
 #define TCS_CONDSYNC_RETRY_ORIG_H_
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "src/common/parking_lot.h"
 #include "src/common/spin_lock.h"
 #include "src/tm/orec_table.h"
 #include "src/tm/tx_desc.h"
+#include "src/tm/version_clock.h"
 
 namespace tcs {
 
@@ -52,24 +49,18 @@ class RetryOrigRegistry {
  public:
   // `max_threads` only bounds tids; the per-tid entry table grows lazily under
   // the waiting lock, so a 64Ki-thread ceiling costs nothing up front. Sleepers
-  // park on their descriptor's ParkSpot through `lot` (the owning domain's
-  // ParkingLot; standalone/test instances fall back to the process default).
-  explicit RetryOrigRegistry(int max_threads, ParkingLot* lot = nullptr);
+  // park on their descriptor's ParkSpot through `lot`; registrations run their
+  // RMW on `clock`, the domain's version clock.
+  RetryOrigRegistry(int max_threads, ParkingLot& lot, VersionClock& clock);
 
   RetryOrigRegistry(const RetryOrigRegistry&) = delete;
   RetryOrigRegistry& operator=(const RetryOrigRegistry&) = delete;
 
-  // Waiter-presence peek used by committing writers, at two sites with two
-  // different strengths of guarantee (see the header comment): after the
-  // commit-side seq_cst fence in tm_system.cc it is the sound [retry-dekker]
-  // R-leg; before that fence (SnapshotCommitOrecsIfNeeded) it is only a
-  // heuristic that may miss a racing registration, and the caller must treat
-  // a miss as "skip an optimization", never "skip the wakeup".
-  // mo: relaxed — [retry-dekker] rider: the gating peek is ordered by the
-  // writer's commit-side seq_cst fence (tm_system.cc), which excludes the SB
-  // outcome against the waiter's raise+fence in WaitForOverlap; the pre-fence
-  // snapshot peek is heuristic-only (misses fall back to WakeAllSleepers).
-  // The load itself only needs atomicity.
+  // Waiter-presence peek for a committing writer: run after its commit RMW,
+  // with its write orecs locked, it sees every earlier registration.
+  // mo: relaxed — [clock-chain] rider: the writer's commit RMW synchronizes
+  // with every earlier registration RMW, and each raise is sequenced before
+  // its RMW; the load itself only needs atomicity.
   bool HasWaiters() const { return count_.load(std::memory_order_relaxed) > 0; }
 
   // Algorithm 1, Retry lines 3-8: under the waiting lock, re-validate the read
@@ -84,16 +75,9 @@ class RetryOrigRegistry {
                       std::uint64_t start, const std::vector<ReleasedOrec>& released);
 
   // Algorithm 1, TxCommit lines 10-15: wake every sleeper whose read-orec set
-  // intersects this writer's write-orec set.
+  // intersects this writer's write-orec set, and every sleeper whose read set
+  // is empty.
   void OnWriterCommit(const std::vector<const Orec*>& write_orecs);
-
-  // Conservative fallback for a writer whose post-fence HasWaiters peek found
-  // waiters but whose pre-fence snapshot heuristic skipped copying the write
-  // set (tm_system.cc Commit): with no write-orec set left to intersect, wake
-  // every sleeper. Spurious for non-overlapping sleepers, never wrong — each
-  // woken waiter restarts, revalidates under the waiting lock, and re-sleeps
-  // if its reads are still valid.
-  void WakeAllSleepers();
 
  private:
   struct Entry {
@@ -107,7 +91,8 @@ class RetryOrigRegistry {
   // re-fetched after every lock reacquisition.
   Entry& EntryOf(int tid);
 
-  ParkingLot* lot_;
+  ParkingLot& lot_;
+  VersionClock& clock_;
   int max_threads_;
   SpinLock lock_;  // Algorithm 1's global `waiting` lock
   std::vector<Entry> entries_;  // grown lazily under lock_

@@ -166,6 +166,18 @@ namespace tcs {
 //                  a waiter's registration transaction and a writer's commit
 //                  are both clock RMWs, so one of them serializes first — the
 //                  case split the no-lost-wakeup argument below rests on.
+//                  Retry-Orig rests on the same split. Its waiter raises
+//                  `count_` (relaxed), runs one clock RMW Rw, then loads
+//                  its read orecs (acquire) under the waiting lock; a
+//                  writer locks its write orecs, runs its commit RMW Rc,
+//                  peeks `count_` (relaxed), releases, then wakes under the
+//                  waiting lock. Rw first: the peek sees the raise, and the
+//                  wake posts the sleeper or precedes its validation, which
+//                  sees the release. Rc first: the validation sees the
+//                  writer's lock or a later version. The `count_`
+//                  operations ride this edge (retry_orig.h). sim-HTM never
+//                  runs Retry-Orig; its hardware commits peek after their
+//                  RMW too.
 //                  (The Increment itself stays seq_cst for the committer leg
 //                  of [quiesce-dekker]; the *edge* needs only acq_rel.)
 //
@@ -225,26 +237,6 @@ namespace tcs {
 //                  after it, and its flag store's re-check sees the token.
 //                  The bound's release/acquire accesses ride the anchors
 //                  and add no seq_cst.
-//
-//  [retry-dekker]  (minimal: seq_cst)
-//                  Retry-Orig's store-buffering handshake, fence-anchored:
-//                  a retrying waiter raises `count_` (relaxed RMW), issues a
-//                  seq_cst fence, then validates its read orecs; a committing
-//                  writer releases its write orecs, issues its commit-side
-//                  seq_cst fence (tm_system.cc), then peeks `count_`
-//                  (relaxed). The two fences are ordered in S, so either the
-//                  waiter's validation sees the writer's orec bump (and does
-//                  not sleep) or the writer's peek sees the raised count (and
-//                  scans the sleeper list). The count and peek themselves
-//                  ride the fences at relaxed — the fences are the edge.
-//                  The commit path's earlier count_ peek (inside
-//                  SnapshotCommitOrecsIfNeeded) runs BEFORE the writer's
-//                  fence and is outside this edge entirely: the SB outcome
-//                  may hide a racing registration from it. It only gates
-//                  copying the write-orec set; when the post-fence peek then
-//                  finds waiters with no snapshot, Commit() falls back to
-//                  RetryOrigRegistry::WakeAllSleepers (spurious wakeups, not
-//                  lost ones).
 //
 //  [quiesce-dekker] (minimal: seq_cst)
 //                  Privatization-safety Dekker between a raw snapshot reader

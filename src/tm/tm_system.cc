@@ -73,7 +73,8 @@ TmSystem::TmSystem(const TmConfig& config)
       uid_(g_system_uid.fetch_add(1, std::memory_order_relaxed)) {
   TCS_CHECK_MSG(cfg_.wake_batch_size >= 1, "wake_batch_size must be at least 1");
   descs_.resize(static_cast<std::size_t>(cfg_.max_threads));
-  retry_orig_ = std::make_unique<RetryOrigRegistry>(cfg_.max_threads, &lot_);
+  retry_orig_ =
+      std::make_unique<RetryOrigRegistry>(cfg_.max_threads, lot_, clock_);
   wake_index_ =
       std::make_unique<WakeIndex>(cfg_.max_threads, cfg_.wake_index_shards);
   wheel_ = std::make_unique<TimerWheel>(&lot_);
@@ -263,30 +264,10 @@ void TmSystem::Commit() {
       }
     }
     if (writer) {
-      // Order this writer's published state against the waiter-presence peeks
-      // below.
-      // mo: seq_cst fence — [retry-dekker] writer leg: W(orecs)/R(count_)
-      // against the waiter's W(count_)/R(orecs) in WaitForOverlap.
-      // seq_cst-required: store-buffering exclusion needs the fence total
-      // order ([atomics.fences]); acquire/release cannot forbid both sides
-      // reading pre-update values. (The WakeIndex peeks need no
-      // fence — [wake-publish] rides the [clock-chain] release sequence — but
-      // RetryOrig registration performs no clock RMW, hence this Dekker.)
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      if (retry_orig_->HasWaiters()) {
-        // This post-fence peek is the sound [retry-dekker] R-leg. The peek
-        // inside SnapshotCommitOrecsIfNeeded ran BEFORE the fence and only
-        // decides whether the write-orec set gets copied; if it missed a
-        // racing registration, commit_orecs is empty and the write set is
-        // gone (the descriptor was reset above). Waking every sleeper then
-        // is the conservative repair: each revalidates under the waiting
-        // lock and re-sleeps, so the race costs a spurious wakeup, never a
-        // lost one.
-        if (!commit_orecs.empty()) {
-          retry_orig_->OnWriterCommit(commit_orecs);
-        } else {
-          retry_orig_->WakeAllSleepers();
-        }
+      // An empty snapshot means no Retry-Orig waiter registered before this
+      // commit serialized; a later one validates against this commit.
+      if (!commit_orecs.empty() && retry_orig_->HasWaiters()) {
+        retry_orig_->OnWriterCommit(commit_orecs);
       }
       if (wake_index_->HasWaiters()) {
         WakeWaiters(commit_orecs);
@@ -422,12 +403,8 @@ void TmSystem::SnapshotCommitOrecsIfNeeded(TxDesc& d) {
   if (d.internal) {
     return;
   }
-  // Both peeks run BEFORE the commit-side [retry-dekker] seq_cst fence in
-  // Commit(), so either may miss a registration racing this commit
-  // (store-buffering); they are heuristics that only avoid the copy, never
-  // correctness gates. Commit() re-peeks after the fence: a missed RetryOrig
-  // waiter is woken conservatively (WakeAllSleepers), and a missed WakeIndex
-  // waiter is covered by WakeWaiters' empty-snapshot global scan.
+  // The Retry-Orig peek is sound (see the precondition in tm_system.h); a
+  // WakeIndex waiter it misses gets WakeWaiters' empty-snapshot global scan.
   if (!retry_orig_->HasWaiters() &&
       !(cfg_.targeted_wakeup && wake_index_->HasWaiters())) {
     return;

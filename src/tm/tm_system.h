@@ -178,7 +178,6 @@ class TmSystem {
   // for the batched claim/post protocol).
   void WakeWaiters(const std::vector<const Orec*>& write_orecs);
 
-  RetryOrigRegistry& retry_orig() { return *retry_orig_; }
   WakeIndex& wake_index() { return *wake_index_; }
   QuiesceTable& quiesce() { return quiesce_; }
 
@@ -323,9 +322,11 @@ class TmSystem {
 
   // Snapshots the write-set orecs into d.commit_orecs when a post-commit
   // consumer needs them: Retry-Orig's intersection (Algorithm 1) or the
-  // targeted wake index. Called by backends at commit time while d.locks is
-  // still populated; the serial variant derives orecs from the undo log for
-  // the simulated HTM's lock-free serial-irrevocable mode.
+  // targeted wake index. Precondition: a backend calls it after its commit's
+  // clock RMW, while the write set's orecs are locked; that is what makes its
+  // Retry-Orig peek sound (retry_orig.h). The serial variant derives orecs
+  // from the undo log for the simulated HTM's lock-free serial-irrevocable
+  // mode.
   void SnapshotCommitOrecsIfNeeded(TxDesc& d);
   void SnapshotCommitOrecsFromUndoIfNeeded(TxDesc& d);
 

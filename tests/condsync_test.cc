@@ -283,7 +283,8 @@ TEST_P(CondSyncTest, RestartMechanismCompletes) {
       }
     });
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  // Not a fixed delay: on a loaded machine the waiter may not have run yet.
+  AwaitCounter(rt_, Counter::kExplicitRestarts, 1);
   Atomically(rt_.sys(), [&](Tx& tx) { tx.Store(flag, std::uint64_t{1}); });
   waiter.join();
   EXPECT_GE(rt_.AggregateStats().Get(Counter::kExplicitRestarts), 1u);
@@ -1026,6 +1027,56 @@ TEST(SimHtmCondSyncTest, NonWaitingTransactionsStayInHardwareMode) {
   TxStats s = rt.AggregateStats();
   EXPECT_EQ(s.Get(Counter::kHtmFallbacks), 0u);
   EXPECT_EQ(s.Get(Counter::kWakeChecks), 0u);
+}
+
+// --- Deschedule edge cases: slot reuse, read-only commits ---
+
+// A stale presence bit (waiter between wake and Remove) must only cost the
+// writer a rejected transactional check, never a wrong wake.
+TEST(DescheduleEdgeTest, RepeatedSleepWakeOnOneSlot) {
+  Runtime rt({.backend = Backend::kEagerStm});
+  std::uint64_t round = 0;
+  constexpr std::uint64_t kRounds = 200;
+  std::thread waiter([&] {
+    for (std::uint64_t r = 1; r <= kRounds; ++r) {
+      Atomically(rt.sys(), [&](Tx& tx) {
+        if (tx.Load(round) < r) {
+          tx.Retry();
+        }
+      });
+    }
+  });
+  for (std::uint64_t r = 1; r <= kRounds; ++r) {
+    Atomically(rt.sys(), [&](Tx& tx) { tx.Store(round, r); });
+  }
+  waiter.join();
+  // The slot was reused kRounds times by the same thread without leaking state.
+  EXPECT_LE(rt.AggregateStats().Get(Counter::kSleeps), kRounds);
+}
+
+TEST(DescheduleEdgeTest, ReadOnlyCommitsNeverScanWaiters) {
+  Runtime rt({.backend = Backend::kEagerStm});
+  std::uint64_t flag = 0;
+  std::uint64_t data = 7;
+  std::thread waiter([&] {
+    Atomically(rt.sys(), [&](Tx& tx) {
+      if (tx.Load(flag) == 0) {
+        tx.Retry();
+      }
+    });
+  });
+  while (rt.AggregateStats().Get(Counter::kSleeps) < 1) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  // Read-only transactions commit without wakeWaiters (only writers can
+  // establish a precondition).
+  for (int i = 0; i < 50; ++i) {
+    std::uint64_t v = Atomically(rt.sys(), [&](Tx& tx) { return tx.Load(data); });
+    EXPECT_EQ(v, 7u);
+  }
+  EXPECT_EQ(rt.AggregateStats().Get(Counter::kWakeChecks), 0u);
+  Atomically(rt.sys(), [&](Tx& tx) { tx.Store(flag, std::uint64_t{1}); });
+  waiter.join();
 }
 
 }  // namespace

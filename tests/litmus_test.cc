@@ -124,48 +124,46 @@ TEST(LitmusOrecPublishTest, ReleaseVersionStorePublishesData) {
 }
 
 // --------------------------------------------------------------------------
-// [retry-dekker] — store buffering: the fence-anchored exclusion behind
-// RetryOrig. Waiter: raise count (relaxed), seq_cst fence, read orec.
-// Writer: release orec, seq_cst fence, read count. Forbidden outcome: both
-// read the pre-update values (waiter validates stale AND writer sees no
-// waiter → lost wakeup). The model mirrors WaitForOverlap/the commit path in
-// tm_system.cc op for op.
+// [clock-chain] — Retry-Orig's registration against a writer commit, op for
+// op as in RetryOrigRegistry::WaitForOverlap and the STM commit path. Waiter:
+// raise count (relaxed), clock RMW, load orec (acquire). Writer: lock orec
+// (CAS), clock RMW, peek count (relaxed). Forbidden: the waiter reads the
+// pre-lock orec AND the writer reads count 0 — a lost wakeup. Locked RMWs are
+// full barriers on x86, so only weaker hardware can fail this shape.
 // --------------------------------------------------------------------------
-TEST(LitmusRetryDekkerTest, FencesExcludeStoreBufferingOutcome) {
+TEST(LitmusRetryOrigTest, ClockChainExcludesLostRegistration) {
   constexpr int kRounds = 400;
   for (int round = 0; round < kRounds; ++round) {
     std::atomic<std::uint64_t> count{0};
-    std::atomic<std::uint64_t> orec{0};
-    std::uint64_t waiter_saw_orec = ~std::uint64_t{0};
-    std::uint64_t writer_saw_count = ~std::uint64_t{0};
+    Orec orec;
+    VersionClock clock;
+    std::uint64_t waiter_saw_orec = 0;
+    std::uint64_t writer_saw_count = 0;
     std::thread waiter([&] {
-      // mo: relaxed — [retry-dekker] rider: the raise is anchored by the
-      // fence below, as in RetryOrigRegistry::WaitForOverlap.
+      // mo: relaxed — [clock-chain] rider: the raise, ordered by the clock
+      // RMW below, as in RetryOrigRegistry::WaitForOverlap.
       count.fetch_add(1, std::memory_order_relaxed);
-      // mo: seq_cst fence — [retry-dekker] waiter leg.
-      // seq_cst-required: store-buffering exclusion — W(count)/R(orec) here
-      // vs the writer's W(orec)/R(count); acquire/release fences cannot
-      // forbid both sides reading the pre-update values.
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      // mo: acquire — [orec-publish], riding the [retry-dekker] fences: the
+      clock.Increment();
+      // mo: acquire — [orec-publish] and a [clock-chain] rider: the
       // validation load.
-      waiter_saw_orec = orec.load(std::memory_order_acquire);
+      waiter_saw_orec = orec.word.load(std::memory_order_acquire);
     });
     std::thread writer([&] {
-      // mo: release — [orec-publish]: the commit's orec release.
-      orec.store(1, std::memory_order_release);
-      // mo: seq_cst fence — [retry-dekker] writer leg.
-      // seq_cst-required: same store-buffering exclusion as the waiter leg;
-      // mirrors the commit-side fence in tm_system.cc.
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      // mo: relaxed — [retry-dekker] rider: the HasWaiters peek.
+      std::uint64_t unlocked = Orec::MakeVersion(0);
+      // mo: acq_rel — [orec-publish]: the commit's orec lock.
+      orec.word.compare_exchange_strong(unlocked, Orec::MakeLocked(1),
+                                        std::memory_order_acq_rel);
+      clock.Increment();
+      // mo: relaxed — [clock-chain] rider: the HasWaiters peek in
+      // SnapshotCommitOrecsIfNeeded.
       writer_saw_count = count.load(std::memory_order_relaxed);
     });
     waiter.join();
     writer.join();
-    EXPECT_FALSE(waiter_saw_orec == 0 && writer_saw_count == 0)
-        << "both sides read pre-update values: the lost-wakeup SB outcome "
-           "the [retry-dekker] fences forbid";
+    EXPECT_FALSE(waiter_saw_orec == Orec::MakeVersion(0) &&
+                 writer_saw_count == 0)
+        << "waiter validated the pre-lock orec and the writer saw no waiter: "
+           "the lost-wakeup outcome [clock-chain] forbids";
   }
 }
 
