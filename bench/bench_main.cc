@@ -24,7 +24,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -462,69 +461,66 @@ bool EmitTmOps(JsonWriter& w, const std::vector<Backend>& backends) {
   bool ok = true;
   w.Key("tm_ops").BeginArray();
   for (Backend b : backends) {
-    // A fresh thread per backend: Desc() scans every domain a thread used.
-    std::thread([&] {
-      Runtime rt({.backend = b, .max_threads = 8});
-      TmSystem& sys = rt.sys();
-      TVar<std::uint64_t> x(0);
-      TVar<std::uint64_t> xs[10];
-      BoundedBuffer buf(&rt, Mechanism::kRetry, 128);
-      auto row = [&](const char* name, int txs_per_iter, auto&& body) {
-        const std::uint64_t checks0 =
-            rt.AggregateStats().Get(Counter::kWakeChecks);
-        std::vector<double> ns;
-        for (int rep = 0; rep < 5; ++rep) {
-          const double t0 = NowSec();
-          for (std::uint64_t i = 0; i < kIters; ++i) {
-            body(i);
-          }
-          ns.push_back((NowSec() - t0) * 1e9 /
-                       static_cast<double>(kIters * txs_per_iter));
+    Runtime rt({.backend = b, .max_threads = 8});
+    TmSystem& sys = rt.sys();
+    TVar<std::uint64_t> x(0);
+    TVar<std::uint64_t> xs[10];
+    BoundedBuffer buf(&rt, Mechanism::kRetry, 128);
+    auto row = [&](const char* name, int txs_per_iter, auto&& body) {
+      const std::uint64_t checks0 =
+          rt.AggregateStats().Get(Counter::kWakeChecks);
+      std::vector<double> ns;
+      for (int rep = 0; rep < 5; ++rep) {
+        const double t0 = NowSec();
+        for (std::uint64_t i = 0; i < kIters; ++i) {
+          body(i);
         }
-        std::sort(ns.begin(), ns.end());
-        const std::uint64_t checks =
-            rt.AggregateStats().Get(Counter::kWakeChecks) - checks0;
-        ok &= checks == 0;
-        w.BeginObject();
-        w.Key("backend").String(BackendName(b));
-        w.Key("op").String(name);
-        w.Key("iterations").U64(kIters);
-        w.Key("ns_per_tx").Double(ns[2]);
-        w.Key("wake_checks").U64(checks);
-        w.EndObject();
-        std::printf("tm_ops backend=%-10s op=%-14s ns/tx=%.1f "
-                    "wake_checks=%llu\n", BackendName(b), name, ns[2],
-                    static_cast<unsigned long long>(checks));
+        ns.push_back((NowSec() - t0) * 1e9 /
+                     static_cast<double>(kIters * txs_per_iter));
+      }
+      std::sort(ns.begin(), ns.end());
+      const std::uint64_t checks =
+          rt.AggregateStats().Get(Counter::kWakeChecks) - checks0;
+      ok &= checks == 0;
+      w.BeginObject();
+      w.Key("backend").String(BackendName(b));
+      w.Key("op").String(name);
+      w.Key("iterations").U64(kIters);
+      w.Key("ns_per_tx").Double(ns[2]);
+      w.Key("wake_checks").U64(checks);
+      w.EndObject();
+      std::printf("tm_ops backend=%-10s op=%-14s ns/tx=%.1f "
+                  "wake_checks=%llu\n", BackendName(b), name, ns[2],
+                  static_cast<unsigned long long>(checks));
+    };
+    auto tx = [&](auto fn) {
+      return [&sys, fn](std::uint64_t i) {
+        Atomically(sys, [&](Tx& t) { fn(t, i); });
       };
-      auto tx = [&](auto fn) {
-        return [&sys, fn](std::uint64_t i) {
-          Atomically(sys, [&](Tx& t) { fn(t, i); });
-        };
-      };
-      row("read_only", 1, tx([&](Tx& t, std::uint64_t) { t.Load(x); }));
-      row("writer", 1,
-          tx([&](Tx& t, std::uint64_t) { t.Store(x, t.Load(x) + 1); }));
-      row("reads_10", 1, tx([&](Tx& t, std::uint64_t) {
-            for (auto& v : xs) {
-              t.Load(v);
-            }
-          }));
-      row("writes_10", 1, tx([&](Tx& t, std::uint64_t) {
-            for (auto& v : xs) {
-              t.Store(v, t.Load(v) + 1);
-            }
-          }));
-      row("read_own_write", 1, tx([&](Tx& t, std::uint64_t i) {
-            t.Store(x, i);
-            t.Load(x);
-          }));
-      row("alloc_free", 1,
-          tx([](Tx& t, std::uint64_t) { t.FreeBytes(t.AllocBytes(64)); }));
-      row("never_waiting", 2, [&](std::uint64_t i) {
-        buf.Produce(i);
-        buf.Consume();
-      });
-    }).join();
+    };
+    row("read_only", 1, tx([&](Tx& t, std::uint64_t) { t.Load(x); }));
+    row("writer", 1,
+        tx([&](Tx& t, std::uint64_t) { t.Store(x, t.Load(x) + 1); }));
+    row("reads_10", 1, tx([&](Tx& t, std::uint64_t) {
+          for (auto& v : xs) {
+            t.Load(v);
+          }
+        }));
+    row("writes_10", 1, tx([&](Tx& t, std::uint64_t) {
+          for (auto& v : xs) {
+            t.Store(v, t.Load(v) + 1);
+          }
+        }));
+    row("read_own_write", 1, tx([&](Tx& t, std::uint64_t i) {
+          t.Store(x, i);
+          t.Load(x);
+        }));
+    row("alloc_free", 1,
+        tx([](Tx& t, std::uint64_t) { t.FreeBytes(t.AllocBytes(64)); }));
+    row("never_waiting", 2, [&](std::uint64_t i) {
+      buf.Produce(i);
+      buf.Consume();
+    });
   }
   w.EndArray();
   return ok;

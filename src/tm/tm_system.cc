@@ -137,30 +137,50 @@ TxDesc& TmSystem::RegisterThread() {
   return *descs_[tid];
 }
 
-TxDesc& TmSystem::Desc() {
+// The calling thread's descriptors, one per domain it has used, oldest first.
+struct TmSystem::DescCache {
   struct Entry {
     std::uint64_t uid;
-    const TmSystem* sys;
     TxDesc* desc;
   };
-  // The cache destructor returns each slot to its (still-live) domain when the
-  // thread exits, so benchmarks that spawn threads per trial never run out.
-  struct Cache {
-    std::vector<Entry> entries;
-    ~Cache() {
-      for (const Entry& e : entries) {
-        ReleaseTidIfAlive(e.uid, e.desc);
-      }
-    }
-  };
-  thread_local Cache tls;
-  for (const Entry& e : tls.entries) {
-    if (e.sys == this && e.uid == uid_) {
-      return *e.desc;
+  std::vector<Entry> entries;
+
+  static DescCache& OfThisThread() {
+    thread_local DescCache cache;
+    return cache;
+  }
+  // Returns each slot to its (still-live) domain when the thread exits, so
+  // benchmarks that spawn threads per trial never run out.
+  ~DescCache() {
+    for (const Entry& e : entries) {
+      ReleaseTidIfAlive(e.uid, e.desc);
     }
   }
+};
+
+std::size_t TmSystem::CachedDescCount() {
+  return DescCache::OfThisThread().entries.size();
+}
+
+TxDesc& TmSystem::Desc() {
+  std::vector<DescCache::Entry>& entries = DescCache::OfThisThread().entries;
+  for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
+    if (it->uid == uid_) {
+      return *it->desc;
+    }
+  }
+  {
+    // Drop the entries of destroyed domains. A domain's destructor erases its
+    // uid under this mutex, and uids are never reused, so a dropped entry could
+    // never match again. A live entry stays: dropping it would register the
+    // thread again and leak its tid.
+    std::lock_guard<std::mutex> g(LiveSystemsMutex());
+    std::erase_if(entries, [](const DescCache::Entry& e) {
+      return !LiveSystems().contains(e.uid);
+    });
+  }
   TxDesc& d = RegisterThread();
-  tls.entries.push_back({uid_, this, &d});
+  entries.push_back({uid_, &d});
   return d;
 }
 

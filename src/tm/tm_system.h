@@ -71,7 +71,15 @@ class TmSystem {
   Backend backend() const { return cfg_.backend; }
 
   // Returns the calling thread's descriptor, registering the thread on first use.
+  // Cost: a newest-first scan of the calling thread's descriptor cache, one
+  // entry per domain it has used, so the domain it used last costs one compare.
+  // Each time the thread registers in a new domain, the entries of destroyed
+  // domains are dropped: the cache holds the live domains the thread has used,
+  // plus any destroyed since its last registration.
   TxDesc& Desc();
+  // Number of entries in the calling thread's descriptor cache (what Desc()
+  // scans).
+  static std::size_t CachedDescCount();
 
   // --- transaction lifecycle (drive through Atomically(), not directly) ---
   void Begin();
@@ -369,7 +377,10 @@ class TmSystem {
   // the global live-system registry.
   void ReleaseTid(TxDesc* d);
   static void ReleaseTidIfAlive(std::uint64_t uid, TxDesc* d);
+  struct DescCache;
 
+  // Unique per process: a new domain at a recycled address gets a new uid, so
+  // thread caches keyed on it never return a stale descriptor.
   const std::uint64_t uid_;
   // Guards descriptor registration; also taken (mutable) by the stats readers
   // so monitoring scans don't race slot creation.

@@ -92,6 +92,60 @@ TEST(AtomicallyTest, ManyShortLivedDomains) {
   }
 }
 
+TEST(AtomicallyTest, DescriptorCacheHoldsOnlyLiveDomains) {
+  // A thread's descriptor cache drops the entries of destroyed domains, so it
+  // stays small, and it never drops a live one: that would register the
+  // thread again under a new tid, and leak the old one.
+  Runtime a({.backend = Backend::kEagerStm});
+  Runtime b({.backend = Backend::kLazyStm});
+  std::uint64_t xa = 0;
+  std::uint64_t xb = 0;
+  Atomically(a.sys(), [&](Tx& tx) { tx.Store(xa, tx.Load(xa) + 1); });
+  Atomically(b.sys(), [&](Tx& tx) { tx.Store(xb, tx.Load(xb) + 1); });
+  const int tid_a = a.sys().Desc().tid;
+  const int tid_b = b.sys().Desc().tid;
+  const TmConfig small{.orec_table_log2 = 10, .max_threads = 8};
+  for (int i = 0; i < 1000; ++i) {
+    {
+      Runtime rt(small);
+      std::uint64_t x = 0;
+      Atomically(rt.sys(), [&](Tx& tx) { tx.Store(x, std::uint64_t{1}); });
+      ASSERT_LE(TmSystem::CachedDescCount(), 3u) << "domain " << i;
+    }
+    if (i % 100 == 99) {
+      Atomically(a.sys(), [&](Tx& tx) { tx.Store(xa, tx.Load(xa) + 1); });
+      Atomically(b.sys(), [&](Tx& tx) { tx.Store(xb, tx.Load(xb) + 1); });
+      ASSERT_EQ(a.sys().Desc().tid, tid_a) << "domain " << i;
+      ASSERT_EQ(b.sys().Desc().tid, tid_b) << "domain " << i;
+      ASSERT_EQ(a.sys().quiesce().bound(), 1) << "domain " << i;
+      ASSERT_EQ(b.sys().quiesce().bound(), 1) << "domain " << i;
+    }
+  }
+  EXPECT_EQ(xa, 11u);
+  EXPECT_EQ(xb, 11u);
+
+  // Thread exit still returns the live domain's tid, however many dead
+  // domains the thread also used.
+  int worker_tid = -1;
+  std::thread([&] {
+    Atomically(a.sys(), [&](Tx& tx) { tx.Store(xa, tx.Load(xa) + 1); });
+    worker_tid = a.sys().Desc().tid;
+    for (int i = 0; i < 50; ++i) {
+      Runtime rt(small);
+      std::uint64_t x = 0;
+      Atomically(rt.sys(), [&](Tx& tx) { tx.Store(x, std::uint64_t{1}); });
+    }
+    EXPECT_EQ(a.sys().Desc().tid, worker_tid);
+  }).join();
+  int next_tid = -1;
+  std::thread([&] {
+    Atomically(a.sys(), [&](Tx& tx) { tx.Store(xa, tx.Load(xa) + 1); });
+    next_tid = a.sys().Desc().tid;
+  }).join();
+  EXPECT_EQ(next_tid, worker_tid);
+  EXPECT_EQ(a.sys().quiesce().bound(), 2);
+}
+
 TEST(AtomicallyTest, ThreadChurnRecyclesDescriptors) {
   TmConfig cfg;
   cfg.max_threads = 8;  // far fewer than the threads created below
