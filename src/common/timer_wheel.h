@@ -5,11 +5,11 @@
 // kernel timeouts, N wakeups per deadline storm, and N timer-queue entries
 // the kernel must sort. At 10^5+ timed waiters that is the dominant cost of
 // the wait path. The wheel collapses them to O(1) amortized per tick with
-// ONE dedicated ticker thread: DescheduleImpl registers (spot, epoch,
-// deadline) and parks on the spot; the ticker advances a classic
-// hashed-hierarchical wheel (Varghese & Lauck) and posts a timeout token —
-// ParkingLot::PostTimeout, the [wheel-tick] edge — to every entry whose slot
-// comes due.
+// ONE dedicated ticker thread: a timed waiter (TmSystem::ParkWaiter)
+// registers (spot, epoch, deadline) and parks on the spot; the ticker
+// advances a classic hashed-hierarchical wheel (Varghese & Lauck) and posts a
+// timeout token — ParkingLot::PostTimeout, the [wheel-tick] edge — to every
+// entry whose slot comes due.
 //
 // Layout: level 0 is 256 ticks of kTickNs (1 ms) each; levels 1 and 2 are 64
 // slots covering 256 and 256*64 ticks per slot; anything further out sits in

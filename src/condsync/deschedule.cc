@@ -2,6 +2,9 @@
 // condition-synchronization mechanism. Retry, Await, and WaitPred all reduce to
 // Deschedule(f, p): roll back, double-check f(p) inside a registration
 // transaction, publish ⟨f, p⟩, sleep, and on wakeup restart the whole transaction.
+// The attempt throws right after its rollback (DescheduleImpl) and the restart
+// loop runs the rest between attempts (RunDeschedule, through OnRestart), so
+// the attempt's frames unwind before the sleep rather than after the wakeup.
 //
 // Registration writes one table, the WakeIndex. Waiters whose predicate is
 // the value-based findChanges index themselves under the orec of each waitset
@@ -44,23 +47,22 @@ void TmSystem::DescheduleImpl(WaitPredFn fn, const WaitArgs& args, bool timed) {
   // retry logging can accumulate (an OrElse whose branches both read an
   // address publishes the union waitset with one entry per branch) so each
   // address is published — and indexed — once.
-  WaitSet* ws = nullptr;
   if (fn == &FindChangesPred) {
-    ws = reinterpret_cast<WaitSet*>(args.v[0]);
+    auto* ws = reinterpret_cast<WaitSet*>(args.v[0]);
     std::size_t pruned = ws->Prune();
     if (pruned > 0) {
       d.stats.Bump(Counter::kWaitsetPruned, pruned);
     }
-  }
-  d.stats.Bump(Counter::kDeschedules);
-  TCS_TRACE_EVENT(d, TraceEvent::kDeschedule, 0);
-  if (ws != nullptr && !ws->Empty()) {
     // Count only the waitset this deschedule actually publishes: pure-predicate
     // waits (Await/WaitPred through a non-findChanges fn) publish no address
     // list, and d.waitset may hold stale entries from a prior restart — bench
     // precision metrics divide by this counter, so it must not overcount.
-    d.stats.Bump(Counter::kWaitsetEntries, ws->Size());
+    if (!ws->Empty()) {
+      d.stats.Bump(Counter::kWaitsetEntries, ws->Size());
+    }
   }
+  d.stats.Bump(Counter::kDeschedules);
+  TCS_TRACE_EVENT(d, TraceEvent::kDeschedule, 0);
   if (d.woke_from_sleep) {
     // We were woken, re-executed, and are about to sleep again: the wakeup did
     // not establish our precondition (a broadcast-style false wakeup, §2.4.1).
@@ -71,18 +73,41 @@ void TmSystem::DescheduleImpl(WaitPredFn fn, const WaitArgs& args, bool timed) {
   // the transaction never having run; only the thread's published precondition
   // remains (allocations the waitset points into are kept alive until wakeup).
   RollbackForDeschedule(d);
+  // The rest runs in OnRestart, once this attempt's frames have unwound.
+  d.pending.kind = PendingWait::Kind::kDeschedule;
+  d.pending.fn = fn;
+  d.pending.args = args;
+  d.pending.timed = timed;
+  throw TxRestart{};
+}
 
+void TmSystem::RunDeschedule(TxDesc& d) {
+  WaiterSlot& slot = IndexWaiter(d);
+  if (RegisterWaiter(d, slot)) {
+    DeregisterWaiter(d, slot, ParkWaiter(d, slot));
+  }
+  // Clears this tid's entry and presence bit, so every exit — wakeup,
+  // timeout, and the no-sleep double-check — leaves the index clean.
+  wake_index_->Remove(d.tid);
+  d.mem.ReclaimDeferred();
+}
+
+// Index phase. The index entry and presence bit must be visible before the
+// registration transaction can commit; committing writers order their peeks
+// against them through the clock.
+WaiterSlot& TmSystem::IndexWaiter(TxDesc& d) {
+  const PendingWait& w = d.pending;
   WaiterSlot& slot = wake_index_->slot(d.tid);
-  slot.Prepare(fn, args, &d.park);
+  slot.Prepare(w.fn, w.args, &d.park);
   // Clear any stale wake-post stamp before this sleep's waker can write a new
   // one (the previous claimer's post — and therefore its stamp — was consumed
   // before this thread could re-deschedule).
   slot.StampWakePost(0);
-  // The index entry and presence bit must be visible before the registration
-  // transaction can commit; committing writers order their peeks against them
-  // through the clock.
+  const WaitSet* ws = w.fn == &FindChangesPred
+                          ? reinterpret_cast<const WaitSet*>(w.args.v[0])
+                          : nullptr;
   if (cfg_.targeted_wakeup && ws != nullptr && !ws->Empty()) {
-    std::vector<const Orec*>& read_orecs = d.wait_orec_scratch;
+    std::vector<const Orec*>& read_orecs = d.pending.orecs;
     read_orecs.clear();
     for (const WaitSet::Entry& e : ws->entries()) {
       read_orecs.push_back(&orecs_.For(e.addr));
@@ -97,126 +122,127 @@ void TmSystem::DescheduleImpl(WaitPredFn fn, const WaitArgs& args, bool timed) {
     wake_index_->AddGlobal(d.tid);
     d.stats.Bump(Counter::kGlobalDeschedules);
   }
+  return slot;
+}
 
-  // The registration transaction: re-evaluate the precondition and, only if it
-  // still fails, publish the slot. Expressing the condition as f(p) means no
-  // TM-metadata validation is needed here — if a writer establishes the
-  // precondition concurrently, either this transaction aborts and re-runs (and
-  // then sees the new state), or it serializes first and the writer's
-  // wakeWaiters sees the slot. Either way the wakeup cannot be lost.
+// Register phase: re-evaluate the precondition and, only if it still fails,
+// publish the slot. Expressing the condition as f(p) means no TM-metadata
+// validation is needed here — if a writer establishes the precondition
+// concurrently, either this transaction aborts and re-runs (and then sees the
+// new state), or it serializes first and the writer's wakeWaiters sees the
+// slot. Either way the wakeup cannot be lost.
+bool TmSystem::RegisterWaiter(TxDesc& d, WaiterSlot& slot) {
+  const PendingWait& w = d.pending;
   bool sleep = false;
   RunInternalTx([&] {
-    if (fn(*this, args)) {
-      sleep = false;
-      return;
+    sleep = !w.fn(*this, w.args);
+    if (sleep) {
+      Write(&slot.active, 1);
+      Write(&slot.asleep, 1);
     }
-    Write(&slot.active, 1);
-    Write(&slot.asleep, 1);
-    sleep = true;
   });
+  return sleep;
+}
 
-  if (sleep) {
-    d.stats.Bump(Counter::kSleeps);
-    TCS_TRACE_EVENT(d, TraceEvent::kSleep, 0);
-    std::uint64_t sleep_start_ns = ObsNowNs();
-    bool acquired = true;
-    bool spun = false;
-    if (timed) {
-      // Deadline set by the DeadlineExpired check of the *For call that led
-      // here. The gated spin comes first, so a wait it satisfies arms no
-      // timeout at all: the wheel's mutex and the ticker stay untouched.
-      // Otherwise the sleep registers an epoch-stamped timeout with the
-      // shared ticker and parks for either token; a stale fire (a wheel post
-      // for an earlier epoch of this spot) wakes us with the timeout token
-      // but no expired deadline, so we re-arm and re-park — ArmTimed bumps
-      // the epoch, which retires the stale registration.
-      if (lot_.Spin(d.park, ParkingLot::kWakeToken)) {
-        spun = true;
-        lot_.ParkEither(d.park);  // consumes the wake token without blocking
-      } else {
-        for (;;) {
-          std::uint64_t epoch = lot_.ArmTimed(d.park);
-          wheel_->Schedule(&d.park, epoch, d.active_deadline);
-          acquired = lot_.ParkEither(d.park);
-          if (acquired || std::chrono::steady_clock::now() >= d.active_deadline) {
-            break;
-          }
+// Park phase: returns true when a waker's post ended the sleep, false when
+// the deadline of a timed wait did.
+bool TmSystem::ParkWaiter(TxDesc& d, WaiterSlot& slot) {
+  d.stats.Bump(Counter::kSleeps);
+  TCS_TRACE_EVENT(d, TraceEvent::kSleep, 0);
+  std::uint64_t sleep_start_ns = ObsNowNs();
+  bool acquired = true;
+  bool spun = false;
+  if (d.pending.timed) {
+    // Deadline set by the DeadlineExpired check of the *For call that led
+    // here. The gated spin comes first, so a wait it satisfies arms no
+    // timeout at all: the wheel's mutex and the ticker stay untouched.
+    // Otherwise the sleep registers an epoch-stamped timeout with the
+    // shared ticker and parks for either token; a stale fire (a wheel post
+    // for an earlier epoch of this spot) wakes us with the timeout token
+    // but no expired deadline, so we re-arm and re-park — ArmTimed bumps
+    // the epoch, which retires the stale registration.
+    if (lot_.Spin(d.park, ParkingLot::kWakeToken)) {
+      spun = true;
+      lot_.ParkEither(d.park);  // consumes the wake token without blocking
+    } else {
+      for (;;) {
+        std::uint64_t epoch = lot_.ArmTimed(d.park);
+        wheel_->Schedule(&d.park, epoch, d.active_deadline);
+        acquired = lot_.ParkEither(d.park);
+        if (acquired || std::chrono::steady_clock::now() >= d.active_deadline) {
+          break;
         }
       }
-    } else {
-      spun = lot_.ConsumeToken(d.park);
     }
-    if (spun) {
-      d.stats.Bump(Counter::kSpinWakeups);
-    }
-    std::uint64_t now = ObsNowNs();
-    d.obs.wait_duration.Record(now - sleep_start_ns);
-    if (acquired) {
-      // The claiming waker stamped the post time just before Post; the
-      // [park-handoff] edge ordered that stamp before this load (see
-      // WaiterSlot).
-      std::uint64_t posted = slot.LoadWakePost();
-      if (posted != 0 && now >= posted) {
-        d.obs.wake_latency.Record(now - posted);
-      }
-    }
-    // arg 1 marks a timeout expiry rather than a wakeup post.
-    TCS_TRACE_EVENT(d, TraceEvent::kWakeup, acquired ? 0 : 1);
-    if (acquired) {
-      // Figure 2.1, time 4 approach: deregister before restarting so no writer
-      // wastes work on this slot ("on wakeup, prevent future notifications").
-      RunInternalTx([&] { Write(&slot.active, 0); });
-      d.woke_from_sleep = true;
-    } else {
-      // Timed out. Deregister, racing against a waker that may have already
-      // claimed this slot (set asleep=0) and be about to post the wake token.
-      // The deregistration transaction serializes against the wake-check
-      // transaction: if the waker won, we must drain its post so the stale
-      // token cannot satisfy this thread's *next* sleep instantly.
-      //
-      // Why the drain can never hang, and never leaks a token — the ordering
-      // argument, in full (timeout delivery only decides how
-      // `acquired == false` is produced above; the claim/post protocol below
-      // is oblivious to it):
-      //
-      //   1. A waker posts the wake token strictly AFTER its claiming
-      //      transaction (or CAS claim) commits the asleep 1→0 transition.
-      //   2. Our deregistration transaction reads asleep transactionally, so
-      //      it serializes against every claim. Exactly two interleavings
-      //      exist:
-      //        * Claim-first: we read asleep == 0. The claim is durable, so
-      //          by (1) its post is already issued or imminent — ConsumeToken
-      //          terminates (it parks at most until that post lands) and
-      //          consumes the token, leaving the spot clean for the next
-      //          sleep. No leak, no hang.
-      //        * Dereg-first: we read asleep == 1 and commit active = 0,
-      //          asleep = 0. Every later wake check (transactional or CAS)
-      //          reads our committed zeros and skips; no post is ever issued
-      //          for this sleep, so there is nothing to drain and
-      //          claimed_by_waker correctly stays false.
-      //   3. A racing wheel fire for THIS sleep's epoch can additionally set
-      //      the timeout token, never the wake token, and ConsumeToken
-      //      ignores and clears pending timeout tokens while waiting — so a
-      //      late tick cannot satisfy the drain in place of the waker's post,
-      //      and the next ArmTimed retires the epoch anyway.
-      bool claimed_by_waker = false;
-      RunInternalTx([&] {
-        claimed_by_waker = (Read(&slot.asleep) == 0);
-        Write(&slot.active, 0);
-        Write(&slot.asleep, 0);
-      });
-      if (claimed_by_waker) {
-        lot_.ConsumeToken(d.park);
-      }
+  } else {
+    spun = lot_.ConsumeToken(d.park);
+  }
+  if (spun) {
+    d.stats.Bump(Counter::kSpinWakeups);
+  }
+  std::uint64_t now = ObsNowNs();
+  d.obs.wait_duration.Record(now - sleep_start_ns);
+  if (acquired) {
+    // The claiming waker stamped the post time just before Post; the
+    // [park-handoff] edge ordered that stamp before this load (see
+    // WaiterSlot).
+    std::uint64_t posted = slot.LoadWakePost();
+    if (posted != 0 && now >= posted) {
+      d.obs.wake_latency.Record(now - posted);
     }
   }
-  // Clears this tid's entry and presence bit, so every exit — wakeup,
-  // timeout, and the no-sleep double-check — leaves the index clean.
-  wake_index_->Remove(d.tid);
+  // arg 1 marks a timeout expiry rather than a wakeup post.
+  TCS_TRACE_EVENT(d, TraceEvent::kWakeup, acquired ? 0 : 1);
+  return acquired;
+}
 
-  d.mem.ReclaimDeferred();
-  d.skip_backoff = true;
-  throw TxRestart{};
+// Deregister phase.
+void TmSystem::DeregisterWaiter(TxDesc& d, WaiterSlot& slot, bool woken) {
+  if (woken) {
+    // Figure 2.1, time 4 approach: deregister before restarting so no writer
+    // wastes work on this slot ("on wakeup, prevent future notifications").
+    RunInternalTx([&] { Write(&slot.active, 0); });
+    d.woke_from_sleep = true;
+    return;
+  }
+  // Timed out. Deregister, racing against a waker that may have already
+  // claimed this slot (set asleep=0) and be about to post the wake token.
+  // The deregistration transaction serializes against the wake-check
+  // transaction: if the waker won, we must drain its post so the stale token
+  // cannot satisfy this thread's *next* sleep instantly.
+  //
+  // Why the drain can never hang, and never leaks a token — the ordering
+  // argument, in full (timeout delivery only decides how `woken == false` is
+  // produced; the claim/post protocol below is oblivious to it):
+  //
+  //   1. A waker posts the wake token strictly AFTER its claiming
+  //      transaction (or CAS claim) commits the asleep 1→0 transition.
+  //   2. Our deregistration transaction reads asleep transactionally, so it
+  //      serializes against every claim. Exactly two interleavings exist:
+  //        * Claim-first: we read asleep == 0. The claim is durable, so by
+  //          (1) its post is already issued or imminent — ConsumeToken
+  //          terminates (it parks at most until that post lands) and
+  //          consumes the token, leaving the spot clean for the next sleep.
+  //          No leak, no hang.
+  //        * Dereg-first: we read asleep == 1 and commit active = 0,
+  //          asleep = 0. Every later wake check (transactional or CAS) reads
+  //          our committed zeros and skips; no post is ever issued for this
+  //          sleep, so there is nothing to drain and claimed_by_waker
+  //          correctly stays false.
+  //   3. A racing wheel fire for THIS sleep's epoch can additionally set the
+  //      timeout token, never the wake token, and ConsumeToken ignores and
+  //      clears pending timeout tokens while waiting — so a late tick cannot
+  //      satisfy the drain in place of the waker's post, and the next
+  //      ArmTimed retires the epoch anyway.
+  bool claimed_by_waker = false;
+  RunInternalTx([&] {
+    claimed_by_waker = (Read(&slot.asleep) == 0);
+    Write(&slot.active, 0);
+    Write(&slot.asleep, 0);
+  });
+  if (claimed_by_waker) {
+    lot_.ConsumeToken(d.park);
+  }
 }
 
 // wakeWaiters, batched and with a lock-free claim fast path. Algorithm 4

@@ -20,10 +20,9 @@ RetryOrigRegistry::Entry& RetryOrigRegistry::EntryOf(int tid) {
   return entries_[static_cast<std::size_t>(tid)];
 }
 
-void RetryOrigRegistry::WaitForOverlap(TxDesc& d,
-                                       std::vector<const Orec*> read_orecs,
-                                       std::uint64_t start,
-                                       const std::vector<ReleasedOrec>& released) {
+void RetryOrigRegistry::WaitForOverlap(
+    TxDesc& d, const std::vector<const Orec*>& read_orecs, std::uint64_t start,
+    const std::vector<ReleasedOrecWord>& released) {
   // Raise, registration RMW, validate (header comment).
   // mo: relaxed — [clock-chain] rider: the registration RMW below orders the
   // raise before the count_ peek of any commit that serializes after it; the
@@ -46,8 +45,8 @@ void RetryOrigRegistry::WaitForOverlap(TxDesc& d,
       // An orec this transaction itself wrote was bumped by our own rollback;
       // that does not constitute a change (see header).
       bool own_release = false;
-      for (const ReleasedOrec& r : released) {
-        if (r.orec == o && r.word_after_release == w) {
+      for (const ReleasedOrecWord& r : released) {
+        if (r.orec == o && r.word == w) {
           own_release = true;
           break;
         }
@@ -59,7 +58,9 @@ void RetryOrigRegistry::WaitForOverlap(TxDesc& d,
     }
     if (valid) {
       Entry& e = EntryOf(d.tid);
-      e.reads = std::move(read_orecs);
+      // A copy into the entry's own buffer, which keeps its capacity from
+      // one sleep to the next.
+      e.reads.assign(read_orecs.begin(), read_orecs.end());
       e.spot = &d.park;
       e.sleeping = true;
       slept = true;

@@ -66,13 +66,12 @@ class RetryOrigRegistry {
   // Algorithm 1, Retry lines 3-8: under the waiting lock, re-validate the read
   // orecs against `start` (honoring `released`, see above); if still valid,
   // publish the read set and park on d.park. Returns after wakeup, or
-  // immediately when validation failed. The caller restarts either way.
-  struct ReleasedOrec {
-    const Orec* orec;
-    std::uint64_t word_after_release;
-  };
-  void WaitForOverlap(TxDesc& d, std::vector<const Orec*> read_orecs,
-                      std::uint64_t start, const std::vector<ReleasedOrec>& released);
+  // immediately when validation failed. The caller restarts either way: it
+  // runs between attempts (TmSystem::OnRestart), after the attempt that
+  // called RetryOrig has rolled back and unwound.
+  void WaitForOverlap(TxDesc& d, const std::vector<const Orec*>& read_orecs,
+                      std::uint64_t start,
+                      const std::vector<ReleasedOrecWord>& released);
 
   // Algorithm 1, TxCommit lines 10-15: wake every sleeper whose read-orec set
   // intersects this writer's write-orec set, and every sleeper whose read set

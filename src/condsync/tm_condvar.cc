@@ -55,7 +55,6 @@ void TmCondVar::Grow(TmSystem& sys, TmWord h, TmWord t, TmWord cap) {
 void TmCondVar::Wait(TmSystem& sys) {
   TxDesc& d = sys.Desc();
   TCS_CHECK_MSG(d.nesting > 0, "TmCondVar::Wait outside transaction");
-  d.stats.Bump(Counter::kCondVarWaits);
   // Enqueue as part of the in-flight transaction: the predicate the caller just
   // tested and this enqueue commit atomically, so a signal from any writer that
   // serializes later cannot be lost.
@@ -76,13 +75,15 @@ void TmCondVar::Wait(TmSystem& sys) {
   // The atomicity break: whatever the transaction did before this wait becomes
   // visible now.
   sys.CommitInFlight();
+  // Counted after the commit so aborted attempts don't inflate them: a wait
+  // counts once its enqueue, and the caller's partial update, are visible.
+  d.stats.Bump(Counter::kCondVarWaits);
   if (grew) {
-    // Counted after the commit so aborted attempts don't inflate it.
     d.stats.Bump(Counter::kCondVarRingGrowths);
   }
-  sys.parking().ConsumeToken(d.park);
-  d.skip_backoff = true;
-  d.woke_from_sleep = true;
+  // The park runs in the restart loop (TmSystem::OnRestart), after this
+  // attempt has unwound.
+  d.pending.kind = PendingWait::Kind::kCondVar;
   throw TxRestart{};
 }
 

@@ -38,8 +38,9 @@ class TmCondVar {
   TmCondVar& operator=(const TmCondVar&) = delete;
 
   // Must be called inside a transaction. Transactionally enqueues the caller,
-  // commits the in-flight transaction (atomicity break), sleeps until signaled,
-  // then restarts the atomic block.
+  // commits the in-flight transaction (atomicity break) and restarts the
+  // atomic block; the restart loop sleeps until signaled before the next
+  // attempt.
   [[noreturn]] void Wait(TmSystem& sys);
 
   // Wake one / all waiters. Inside a transaction the signal is deferred to commit;

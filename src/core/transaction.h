@@ -315,6 +315,11 @@ class Tx {
 // commits. Nested calls run flat (subsumption nesting, Appendix A): the inner body
 // executes inline inside the enclosing transaction, so an inner Retry unrolls the
 // outermost transaction — the composability property of §1.2.
+//
+// A wait throws TxRestart as soon as it has rolled the attempt back, and
+// OnRestart, called once the handler has finished, runs the wait it recorded:
+// the sleep happens after the unwind and outside any catch handler, and a
+// woken thread goes straight into its next attempt.
 template <typename Body>
 auto Atomically(TmSystem& sys, Body&& body) {
   using R = std::invoke_result_t<Body&, Tx&>;
@@ -330,8 +335,8 @@ auto Atomically(TmSystem& sys, Body&& body) {
         sys.Commit();
         return;
       } catch (const TxRestart&) {
-        sys.OnRestart();
       }
+      sys.OnRestart();
     }
   } else {
     for (;;) {
@@ -341,8 +346,8 @@ auto Atomically(TmSystem& sys, Body&& body) {
         sys.Commit();
         return result;
       } catch (const TxRestart&) {
-        sys.OnRestart();
       }
+      sys.OnRestart();
     }
   }
 }

@@ -169,6 +169,16 @@ bool SimHtm::CommitTx(TxDesc& d) {
     d.undo.Clear();
     d.reads.clear();
     quiesce_.SetInactive(d.tid);
+    if (writer && d.internal) {
+      // An internal writer is a wait-protocol step, and a deregistration
+      // hands the waiter's published ⟨f, p⟩ back to it, to rewrite at once.
+      // A hardware wake check may still be evaluating that predicate with
+      // plain loads between its token checks, so drain in-flight hardware
+      // transactions first, as the hardware commit below does. The token is
+      // still held, so each of them ends at its next check.
+      d.stats.Bump(Counter::kQuiesceCalls);
+      quiesce_.WaitForReadersBefore(clock_.Load() + 1, d.tid);
+    }
     ExitSerial(d);
     return writer;
   }

@@ -97,6 +97,8 @@ TmSystem::~TmSystem() {
 void TmSystem::ReleaseTid(TxDesc* d) {
   SpinLockGuard g(registration_lock_);
   TCS_CHECK_MSG(d->nesting == 0, "thread exited inside a transaction");
+  TCS_CHECK_MSG(d->pending.kind == PendingWait::Kind::kNone,
+                "thread exited with a wait pending");
   free_tids_.push_back(d->tid);
 }
 
@@ -149,26 +151,41 @@ struct TmSystem::DescCache {
     thread_local DescCache cache;
     return cache;
   }
+  // The calling thread's cache once it has registered anywhere, else null. A
+  // plain pointer needs no thread_local initialization guard, so Desc()'s
+  // lookup reads it without a call.
+  static thread_local DescCache* current;
   // Returns each slot to its (still-live) domain when the thread exits, so
   // benchmarks that spawn threads per trial never run out.
   ~DescCache() {
+    current = nullptr;
     for (const Entry& e : entries) {
       ReleaseTidIfAlive(e.uid, e.desc);
     }
   }
 };
 
+thread_local TmSystem::DescCache* TmSystem::DescCache::current = nullptr;
+
 std::size_t TmSystem::CachedDescCount() {
   return DescCache::OfThisThread().entries.size();
 }
 
 TxDesc& TmSystem::Desc() {
-  std::vector<DescCache::Entry>& entries = DescCache::OfThisThread().entries;
-  for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
-    if (it->uid == uid_) {
-      return *it->desc;
+  if (const DescCache* cache = DescCache::current) {
+    for (auto it = cache->entries.rbegin(); it != cache->entries.rend(); ++it) {
+      if (it->uid == uid_) {
+        return *it->desc;
+      }
     }
   }
+  return CacheNewDesc();
+}
+
+[[gnu::noinline]] TxDesc& TmSystem::CacheNewDesc() {
+  DescCache& cache = DescCache::OfThisThread();
+  DescCache::current = &cache;
+  std::vector<DescCache::Entry>& entries = cache.entries;
   {
     // Drop the entries of destroyed domains. A domain's destructor erases its
     // uid under this mutex, and uids are never reused, so a dropped entry could
@@ -226,6 +243,12 @@ void TmSystem::Begin() {
   }
   d.skip_backoff = false;
   if (!d.internal) {
+    // Only OnRestart may consume a recorded wait. One still pending here means
+    // a body caught TxRestart and left by another exception, so no restart
+    // loop ran it; its argument words may name state that is gone by now.
+    TCS_CHECK_MSG(d.pending.kind == PendingWait::Kind::kNone,
+                  "transaction begun while a wait is pending: a body "
+                  "swallowed TxRestart");
     // A restart unwinds past any OrElse frames without running their handlers;
     // the fresh attempt starts with no alternatives armed. Armed timed-wait
     // deadlines deliberately survive restarts (see TxDesc); only the attempt's
@@ -711,20 +734,21 @@ void TmSystem::RetryOrig() {
   TCS_CHECK_MSG(d.nesting > 0, "RetryOrig outside transaction");
   TCS_CHECK_MSG(backend() != Backend::kSimHtm,
                 "Retry-Orig requires STM metadata and cannot run on HTM (§2.1)");
-  std::uint64_t start = d.start;
-  std::vector<const Orec*> read_orecs(d.reads.begin(), d.reads.end());
-  std::vector<RetryOrigRegistry::ReleasedOrec> released;
-  released.reserve(d.locks.size());
+  // Record what the waiting list validates (reused buffers), then roll back
+  // and throw; OnRestart runs WaitForOverlap once the attempt has unwound.
+  PendingWait& w = d.pending;
+  w.start = d.start;
+  w.orecs.assign(d.reads.begin(), d.reads.end());
+  w.released.clear();
   for (const LockedOrec& l : d.locks) {
-    released.push_back({l.orec, Orec::MakeVersion(l.prev_version + 1)});
+    w.released.push_back({l.orec, Orec::MakeVersion(l.prev_version + 1)});
   }
   Rollback(d);
   d.mem.OnAbort();
   d.deferred_signals.clear();
   d.nesting = 0;
   d.obs.causes.Bump(AbortCause::kRetrySetup);
-  retry_orig_->WaitForOverlap(d, std::move(read_orecs), start, released);
-  d.skip_backoff = true;
+  w.kind = PendingWait::Kind::kRetryOrig;
   throw TxRestart{};
 }
 
@@ -762,8 +786,29 @@ void TmSystem::DeferSignal(const DeferredCvSignal& sig) {
 
 void TmSystem::OnRestart() {
   TxDesc& d = Desc();
-  if (!d.skip_backoff) {
-    d.backoff.Pause();
+  PendingWait& w = d.pending;
+  const PendingWait::Kind kind = w.kind;
+  w.kind = PendingWait::Kind::kNone;
+  switch (kind) {
+    case PendingWait::Kind::kNone:
+      if (!d.skip_backoff) {
+        d.backoff.Pause();
+      }
+      break;
+    // A wait replaces the backoff: its sleep already got the thread out of
+    // the way.
+    case PendingWait::Kind::kDeschedule:
+      RunDeschedule(d);
+      break;
+    case PendingWait::Kind::kRetryOrig:
+      retry_orig_->WaitForOverlap(d, w.orecs, w.start, w.released);
+      break;
+    case PendingWait::Kind::kCondVar:
+      // The wait committed its enqueue before throwing; a signal that landed
+      // during the unwind left the token already posted.
+      lot_.ConsumeToken(d.park);
+      d.woke_from_sleep = true;
+      break;
   }
   d.skip_backoff = false;
 }

@@ -11,6 +11,14 @@
 //   Deschedule — Algorithm 4: the abstract mechanism the other three reduce to.
 //
 // plus the evaluation's baselines: RetryOrig() (Algorithm 1) and RestartNow().
+//
+// Every wait ends its attempt first and sleeps second. The call rolls the
+// attempt back, records the wait in the descriptor (TxDesc::pending) and
+// throws TxRestart; the restart loop's OnRestart() then runs the wait, so the
+// body's frames unwind before the thread sleeps and a woken thread goes
+// straight into its next attempt. The paper's C runtime restores a
+// checkpoint after the sleep with a near-free longjmp; a C++ unwind costs
+// microseconds, so it is paid before the sleep instead of after the wakeup.
 #ifndef TCS_TM_TM_SYSTEM_H_
 #define TCS_TM_TM_SYSTEM_H_
 
@@ -42,6 +50,7 @@ namespace tcs {
 
 class RetryOrigRegistry;
 class WakeIndex;
+struct WaiterSlot;
 
 // Outcome of a bounded wait (RetryFor/AwaitFor/WaitPredFor). A satisfied wait
 // never *returns* — wakeup restarts the transaction body, which re-reads state
@@ -98,6 +107,15 @@ class TmSystem {
   void TxFree(void* p);
 
   // --- condition synchronization ---
+  // Retry, Await, WaitPred and Deschedule roll the attempt back, record
+  // ⟨f, p⟩ (a copy of `args`; see WaitArgs for what its words may point to)
+  // and throw TxRestart. The attempt unwinds; then the restart loop's
+  // OnRestart() indexes the waiter, runs the registration double-check,
+  // parks, and deregisters, and the next attempt starts. Because the
+  // double-check runs after the unwind, it also re-checks the precondition
+  // one unwind later than the attempt saw it. RetryOrig likewise records its
+  // read orecs and start time, and OnRestart validates them and parks.
+  // RestartNow never waits: it yields and restarts.
   [[noreturn]] void Retry();
   [[noreturn]] void Await(const TmWord* const* addrs, std::size_t n);
   [[noreturn]] void WaitPred(WaitPredFn fn, const WaitArgs& args);
@@ -173,7 +191,14 @@ class TmSystem {
     d.internal = false;
   }
 
-  // Called by the restart loop between attempts.
+  // Called by the restart loop between attempts, after the aborted attempt
+  // has unwound and outside any catch handler. Runs the wait the attempt
+  // recorded, if any (index, register, park, deregister for a Deschedule;
+  // validate and park for Retry-Orig; park for TMCondVar); otherwise backs
+  // off, unless the abort asked to skip it. The outermost user Begin()
+  // checks that no wait is left pending: a body that catches TxRestart and
+  // throws something else instead fails loudly there. So a destructor that
+  // runs while a waiting attempt unwinds must not start a transaction.
   void OnRestart();
 
   // Post-commit pass that wakes satisfied waiters (Algorithm 4's wakeWaiters).
@@ -305,14 +330,6 @@ class TmSystem {
                                  const Orec* conflict = nullptr);
 
   // --- timestamp extension (Riegel et al. [22]) ---
-  // An orec this transaction itself just released, with the word it published;
-  // revalidation treats a read orec holding exactly that word as unchanged
-  // (the value beneath was restored before the release, and we held the lock
-  // in between, so nobody else can have touched it).
-  struct ReleasedOrecWord {
-    const Orec* orec;
-    std::uint64_t word;
-  };
   // Eager STM's OrElse orec release is the one caller: its prev+1 release
   // bumps publish versions past `start`, so the surviving branch needs the
   // extension (every other too-new access aborts, Appendix A). Revalidates the
@@ -357,11 +374,21 @@ class TmSystem {
   // serial-mode writer, arbitrary predicate) and defers to the wake batch.
   enum class CasClaimResult { kClaimed, kSkipped, kFallback };
   CasClaimResult TryCasWakeClaim(TxDesc& d, int waiter_tid);
-  // Shared body of Deschedule and the timed waits: publish, double-check, and
-  // sleep — bounded by d's deadline when `timed` is set. A timeout deregisters
-  // the slot (draining any racing wakeup post) and restarts the transaction;
-  // the re-executed body's *For call then observes the expired deadline.
+  // Shared in-body half of Deschedule and the timed waits: prune the waitset,
+  // count, roll back, record ⟨fn, args, timed⟩ in d.pending, and throw.
   [[noreturn]] void DescheduleImpl(WaitPredFn fn, const WaitArgs& args, bool timed);
+  // The between-attempts half of a Deschedule, one function per phase. Index
+  // adds the waiter's wake-index entry; register runs the double-check
+  // transaction and returns whether the waiter must sleep; park sleeps
+  // (bounded by d.active_deadline when the wait is timed) and returns
+  // whether a waker's post ended it; deregister clears the slot, draining a
+  // racing post after a timeout. A timeout restarts the transaction, and the
+  // re-executed body's *For call observes the expired deadline.
+  void RunDeschedule(TxDesc& d);
+  WaiterSlot& IndexWaiter(TxDesc& d);
+  bool RegisterWaiter(TxDesc& d, WaiterSlot& slot);
+  bool ParkWaiter(TxDesc& d, WaiterSlot& slot);
+  void DeregisterWaiter(TxDesc& d, WaiterSlot& slot, bool woken);
   // Arms/checks the per-call deadline slot for the timed wait identified by
   // `wait_key` (plus its occurrence ordinal this attempt). Returns true if that
   // call's deadline has expired (slot erased, kWaitTimeouts bumped): the caller
@@ -372,6 +399,9 @@ class TmSystem {
   void ClearAccessSets(TxDesc& d);
   void ResetDescAfterTx(TxDesc& d);
   TxDesc& RegisterThread();
+  // Desc()'s miss path: prunes the cache and registers the thread. Kept out
+  // of line so that the lookup compiles to a leaf that saves no registers.
+  TxDesc& CacheNewDesc();
   // Returns a descriptor slot when its thread exits, so that short-lived threads
   // do not exhaust max_threads. Called from thread-local cache destructors via
   // the global live-system registry.

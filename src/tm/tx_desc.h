@@ -32,6 +32,12 @@ class TmCondVar;
 // Marshaled arguments for a wait predicate (Algorithm 7). A fixed inline record:
 // WaitPred "cannot construct an object to store these arguments, since the writes
 // might be undone during Deschedule", so the library copies up to four words.
+//
+// Lifetime contract: the wait runs after the attempt that reached it has
+// unwound (TmSystem::OnRestart), and writers evaluate the predicate while the
+// waiter sleeps. So a word that is a pointer must name state that outlives the
+// wait, such as a shared object or the descriptor's waitset, and never the
+// transaction body's own frame, which is gone by then.
 struct WaitArgs {
   std::array<TmWord, 4> v{};
   std::uint32_t n = 0;
@@ -48,6 +54,40 @@ using WaitPredFn = bool (*)(TmSystem&, const WaitArgs&);
 struct LockedOrec {
   Orec* orec;
   std::uint64_t prev_version;
+};
+
+// An orec this thread's own rollback just released, with the word it published
+// there. Validation against a start time accepts exactly that word as
+// unchanged: the value beneath was restored before the release, and this
+// thread held the lock in between.
+struct ReleasedOrecWord {
+  const Orec* orec;
+  std::uint64_t word;
+};
+
+// A wait that an attempt reached and recorded before throwing TxRestart. The
+// restart loop runs it between attempts (TmSystem::OnRestart), so the attempt
+// unwinds before the thread sleeps and a woken thread goes straight into its
+// next attempt.
+struct PendingWait {
+  enum class Kind : std::uint8_t {
+    kNone,
+    kDeschedule,  // Retry, Await, WaitPred and their timed forms
+    kRetryOrig,   // Algorithm 1's waiting list
+    kCondVar,     // TMCondVar: the attempt committed and enqueued; park
+  };
+  Kind kind = Kind::kNone;
+  // kDeschedule: the predicate, a copy of its arguments, and whether
+  // TxDesc::active_deadline bounds the sleep.
+  WaitPredFn fn = nullptr;
+  WaitArgs args;
+  bool timed = false;
+  // kRetryOrig: the attempt's start time and the words its rollback released.
+  std::uint64_t start = 0;
+  std::vector<ReleasedOrecWord> released;
+  // kRetryOrig: the attempt's read orecs. kDeschedule: the orecs of an
+  // indexed waitset, rebuilt when the wait runs. Reused wait to wait.
+  std::vector<const Orec*> orecs;
 };
 
 // Deferred TMCondVar signal: signals issued inside a transaction take effect only
@@ -103,9 +143,6 @@ struct TxDesc {
   bool retry_logging = false;  // the paper's is_retry: log ⟨addr,value⟩ on every read
   ParkSpot park;               // per-thread parking place (ParkingLot tokens)
   bool woke_from_sleep = false;
-  // The orecs of the waitset being indexed, rebuilt per indexed deschedule
-  // into this reused buffer (like the wakeWaiters scratch below).
-  std::vector<const Orec*> wait_orec_scratch;
 
   // --- OrElse / timed-wait state ---
   // Number of OrElse alternatives the current attempt still has available; a
@@ -133,7 +170,8 @@ struct TxDesc {
   std::vector<ArmedDeadline> deadlines;
   std::vector<std::uint64_t> wait_keys_this_attempt;
   // Deadline of the timed wait currently heading to sleep (set by the
-  // DeadlineExpired check that precedes DescheduleImpl on the same call path).
+  // DeadlineExpired check that precedes DescheduleImpl on the same call path,
+  // read when the pending wait runs).
   std::chrono::steady_clock::time_point active_deadline{};
   std::vector<DeferredCvSignal> deferred_signals;
   // Writer-side snapshot of acquired orecs, taken just before lock release when
@@ -189,6 +227,12 @@ struct TxDesc {
   // Observability: abort attribution, latency histograms, trace ring
   // (src/obs/thread_obs.h). Same concurrency contract as `stats`.
   ThreadObs obs;
+
+  // Set by a wait just before it throws, run and cleared by OnRestart. Last,
+  // because only the wait path touches it: placed among the fields above, it
+  // pushed hot ones onto other cache lines and cost a read-only transaction
+  // about 10% (bench_main --scenario=tm_ops).
+  PendingWait pending;
 };
 
 }  // namespace tcs

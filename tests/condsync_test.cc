@@ -7,6 +7,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <exception>
+#include <functional>
 #include <optional>
 #include <thread>
 
@@ -1077,6 +1079,305 @@ TEST(DescheduleEdgeTest, ReadOnlyCommitsNeverScanWaiters) {
   EXPECT_EQ(rt.AggregateStats().Get(Counter::kWakeChecks), 0u);
   Atomically(rt.sys(), [&](Tx& tx) { tx.Store(flag, std::uint64_t{1}); });
   waiter.join();
+}
+
+// --- Waits run between attempts, after the waiting attempt has unwound ---
+
+bool AlwaysTruePred(TmSystem&, const WaitArgs&) { return true; }
+
+// Spins until `flag` is set or `limit` passes; returns whether it was set.
+bool AwaitFlag(const std::atomic<bool>& flag, std::chrono::seconds limit) {
+  const auto deadline = std::chrono::steady_clock::now() + limit;
+  // mo: acquire — [harness] observe worker-published state.
+  while (!flag.load(std::memory_order_acquire)) {
+    if (std::chrono::steady_clock::now() >= deadline) {
+      return false;
+    }
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+// A body-local object whose destructor, when an unwind runs it, records
+// whether the thread slept while the object was alive: true means the wait
+// slept inside the body's frame instead of after it had unwound.
+class SleepWitness {
+ public:
+  SleepWitness(TmSystem& sys, bool& slept_in_frame)
+      : sys_(sys), slept_in_frame_(slept_in_frame), at_entry_(Sleeps()) {}
+  ~SleepWitness() {
+    if (std::uncaught_exceptions() > 0 && Sleeps() > at_entry_) {
+      slept_in_frame_ = true;
+    }
+  }
+  SleepWitness(const SleepWitness&) = delete;
+  SleepWitness& operator=(const SleepWitness&) = delete;
+
+ private:
+  std::uint64_t Sleeps() { return sys_.Desc().stats.Get(Counter::kSleeps); }
+  TmSystem& sys_;
+  bool& slept_in_frame_;
+  const std::uint64_t at_entry_;
+};
+
+// Set by the destructor of a body-local object; read by GuardGonePred.
+struct GuardProbe {
+  std::atomic<bool> gone{false};
+  std::atomic<int> checks{0};
+  std::atomic<bool> first_check_saw_gone{false};
+};
+
+class ProbeGuard {
+ public:
+  explicit ProbeGuard(GuardProbe& p) : p_(p) {
+    // mo: release — [harness] publish state to other harness threads.
+    p_.gone.store(false, std::memory_order_release);
+  }
+  // mo: release — [harness] publish state to other harness threads.
+  ~ProbeGuard() { p_.gone.store(true, std::memory_order_release); }
+  ProbeGuard(const ProbeGuard&) = delete;
+  ProbeGuard& operator=(const ProbeGuard&) = delete;
+
+ private:
+  GuardProbe& p_;
+};
+
+// Records what the first evaluation (the registration double-check) saw, and
+// reports the precondition as holding, so the waiter never sleeps.
+bool GuardGonePred(TmSystem&, const WaitArgs& args) {
+  auto* p = reinterpret_cast<GuardProbe*>(args.v[0]);
+  // mo: acquire — [harness] observe worker-published state.
+  const bool guard_gone = p->gone.load(std::memory_order_acquire);
+  // mo: acq_rel — [harness] cross-thread counter/flag RMW.
+  if (p->checks.fetch_add(1, std::memory_order_acq_rel) == 0) {
+    // mo: release — [harness] publish state to other harness threads.
+    p->first_check_saw_gone.store(guard_gone, std::memory_order_release);
+  }
+  return true;
+}
+
+class WaitAfterUnwindTest : public ::testing::TestWithParam<Backend> {
+ protected:
+  WaitAfterUnwindTest() : rt_(ConfigFor(GetParam())) {}
+  Runtime rt_;
+};
+
+// The registration double-check runs in OnRestart, so the body's RAII guard
+// is already destroyed when the predicate first runs.
+TEST_P(WaitAfterUnwindTest, WaitPredDoubleCheckSeesTheBodyUnwound) {
+  GuardProbe probe;
+  WaitArgs args;
+  args.v[0] = reinterpret_cast<TmWord>(&probe);
+  args.n = 1;
+  int tries = 0;
+  Atomically(rt_.sys(), [&](Tx& tx) {
+    // On sim-HTM the first WaitPred only switches to software mode.
+    // mo: acquire — [harness] observe worker-published state.
+    if (++tries <= 2 && probe.checks.load(std::memory_order_acquire) == 0) {
+      ProbeGuard guard(probe);
+      tx.WaitPred(&GuardGonePred, args);
+    }
+  });
+  // mo: acquire — [harness] observe worker-published state.
+  EXPECT_EQ(probe.checks.load(std::memory_order_acquire), 1);
+  // mo: acquire — [harness] observe worker-published state.
+  EXPECT_TRUE(probe.first_check_saw_gone.load(std::memory_order_acquire))
+      << "the double-check ran inside the body, before its frame unwound";
+  EXPECT_EQ(rt_.AggregateStats().Get(Counter::kSleeps), 0u);
+}
+
+enum class TimedKind { kRetryFor, kAwaitFor, kWaitPredFor };
+
+WaitResult TimedWaitOn(Tx& tx, TimedKind kind, TVar<std::uint64_t>& cell) {
+  constexpr auto kBudget = std::chrono::milliseconds(2);
+  switch (kind) {
+    case TimedKind::kRetryFor:
+      return tx.RetryFor(kBudget);
+    case TimedKind::kAwaitFor:
+      return tx.AwaitFor(kBudget, cell);
+    case TimedKind::kWaitPredFor:
+      break;
+  }
+  WaitArgs args;
+  args.v[0] = reinterpret_cast<TmWord>(&cell);
+  args.n = 1;
+  return tx.WaitPredFor(&FlagSetPred, args, kBudget);
+}
+
+// A timed wait reached from a nested Atomically or from OrElse's last
+// alternative sleeps after the whole attempt unwound, and still times out
+// with no waiter left in the wake index.
+TEST_P(WaitAfterUnwindTest, TimedWaitsInNestedAtomicallyAndOrElseTimeOutClean) {
+  TVar<std::uint64_t> cell(0);
+  for (TimedKind kind :
+       {TimedKind::kRetryFor, TimedKind::kAwaitFor, TimedKind::kWaitPredFor}) {
+    for (bool or_else : {false, true}) {
+      const int k = static_cast<int>(kind);
+      const std::uint64_t sleeps = rt_.AggregateStats().Get(Counter::kSleeps);
+      bool slept_in_frame = false;
+      auto timed = [&](Tx& t) -> WaitResult {
+        SleepWitness witness(t.sys(), slept_in_frame);
+        if (t.Load(cell) == 0) {
+          return TimedWaitOn(t, kind, cell);
+        }
+        return WaitResult::kSatisfied;
+      };
+      WaitResult r = Atomically(rt_.sys(), [&](Tx& tx) -> WaitResult {
+        if (or_else) {
+          return tx.OrElse([](Tx& t) -> WaitResult { t.Retry(); }, timed);
+        }
+        return Atomically(tx.sys(), timed);
+      });
+      EXPECT_EQ(r, WaitResult::kTimedOut) << k << " or_else " << or_else;
+      EXPECT_GT(rt_.AggregateStats().Get(Counter::kSleeps), sleeps)
+          << k << " or_else " << or_else;
+      EXPECT_FALSE(slept_in_frame) << k << " or_else " << or_else;
+      EXPECT_EQ(rt_.sys().wake_index().RegisteredCount(), 0)
+          << k << " or_else " << or_else;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllBackends, WaitAfterUnwindTest,
+                         ::testing::Values(Backend::kEagerStm, Backend::kLazyStm,
+                                           Backend::kSimHtm),
+                         [](const ::testing::TestParamInfo<Backend>& info) {
+                           switch (info.param) {
+                             case Backend::kEagerStm:
+                               return "EagerStm";
+                             case Backend::kLazyStm:
+                               return "LazyStm";
+                             case Backend::kSimHtm:
+                               return "SimHtm";
+                           }
+                           return "Unknown";
+                         });
+
+// Runs `wake` on a helper thread while the waiter's attempt unwinds: a Guard
+// in the body, destroyed by that unwind, hands over to the helper and holds
+// the unwind until the wake is done. A waiter that parked before unwinding
+// would never get there, so the helper gives up after 2 s and wakes it
+// anyway; Late() reports that.
+class UnwindWaker {
+ public:
+  explicit UnwindWaker(std::function<void()> wake)
+      : helper_([this, wake = std::move(wake)] {
+          late_ = !AwaitFlag(unwinding_, std::chrono::seconds(2));
+          wake();
+          // mo: release — [harness] publish state to other harness threads.
+          woken_.store(true, std::memory_order_release);
+        }) {}
+  ~UnwindWaker() {
+    if (helper_.joinable()) {
+      helper_.join();
+    }
+  }
+  UnwindWaker(const UnwindWaker&) = delete;
+  UnwindWaker& operator=(const UnwindWaker&) = delete;
+
+  class Guard {
+   public:
+    explicit Guard(UnwindWaker& w) : w_(w) {}
+    ~Guard() {
+      // mo: acq_rel — [harness] cross-thread counter/flag RMW.
+      if (std::uncaught_exceptions() > 0 &&
+          !w_.unwinding_.exchange(true, std::memory_order_acq_rel)) {
+        AwaitFlag(w_.woken_, std::chrono::seconds(5));
+      }
+    }
+    Guard(const Guard&) = delete;
+    Guard& operator=(const Guard&) = delete;
+
+   private:
+    UnwindWaker& w_;
+  };
+
+  bool Late() {
+    helper_.join();
+    return late_;
+  }
+
+ private:
+  std::atomic<bool> unwinding_{false};
+  std::atomic<bool> woken_{false};
+  bool late_ = false;
+  std::thread helper_;  // last: starts once the flags above exist
+};
+
+// Retry-Orig and TMCondVar run only on (or are only tested here on) the STMs.
+class WakeDuringUnwindTest : public ::testing::TestWithParam<Backend> {
+ protected:
+  WakeDuringUnwindTest() : rt_(ConfigFor(GetParam())) {}
+  Runtime rt_;
+};
+
+// The commit lands before the waiter validates its read orecs, so the
+// validation fails and the waiter re-executes without parking.
+TEST_P(WakeDuringUnwindTest, RetryOrigWaiterDoesNotPark) {
+  TVar<std::uint64_t> cell(0);
+  UnwindWaker waker([&] {
+    Atomically(rt_.sys(), [&](Tx& tx) { tx.Store(cell, std::uint64_t{1}); });
+  });
+  Atomically(rt_.sys(), [&](Tx& tx) {
+    if (tx.Load(cell) == 0) {
+      UnwindWaker::Guard guard(waker);
+      tx.RetryOrig();
+    }
+  });
+  EXPECT_FALSE(waker.Late()) << "the waiter parked before its attempt unwound";
+  EXPECT_EQ(rt_.AggregateStats().Get(Counter::kSleeps), 0u);
+  EXPECT_EQ(rt_.AggregateStats().Get(Counter::kDeschedules), 1u);
+}
+
+// The signal posts the waiter's token before the restart loop parks, so the
+// park returns at once and the next attempt runs.
+TEST_P(WakeDuringUnwindTest, TmCondVarWaiterDoesNotPark) {
+  TmCondVar cv(4);
+  TVar<std::uint64_t> ready(0);
+  UnwindWaker waker([&] {
+    Atomically(rt_.sys(), [&](Tx& tx) {
+      tx.Store(ready, std::uint64_t{1});
+      tx.CondSignal(cv);
+    });
+  });
+  Atomically(rt_.sys(), [&](Tx& tx) {
+    if (tx.Load(ready) == 0) {
+      UnwindWaker::Guard guard(waker);
+      tx.CondWait(cv);
+    }
+  });
+  EXPECT_FALSE(waker.Late()) << "the waiter parked before its attempt unwound";
+  EXPECT_EQ(rt_.AggregateStats().Get(Counter::kCondVarWaits), 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(StmBackends, WakeDuringUnwindTest,
+                         ::testing::Values(Backend::kEagerStm, Backend::kLazyStm),
+                         [](const ::testing::TestParamInfo<Backend>& info) {
+                           return info.param == Backend::kEagerStm ? "EagerStm"
+                                                                   : "LazyStm";
+                         });
+
+// A body that catches the wait's TxRestart and leaves by another exception
+// strands the recorded wait; the thread's next transaction must refuse to
+// start rather than let a later restart loop sleep on it.
+TEST(PendingWaitDeathTest, SwallowedWaitFailsTheNextBegin) {
+  struct Escape {};
+  EXPECT_DEATH(
+      {
+        Runtime rt(ConfigFor(Backend::kEagerStm));
+        try {
+          Atomically(rt.sys(), [&](Tx& tx) {
+            try {
+              tx.WaitPred(&AlwaysTruePred, WaitArgs{});
+            } catch (const TxRestart&) {
+              throw Escape{};
+            }
+          });
+        } catch (const Escape&) {
+        }
+        Atomically(rt.sys(), [](Tx&) {});
+      },
+      "wait is pending");
 }
 
 }  // namespace

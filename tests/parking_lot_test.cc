@@ -166,13 +166,13 @@ TEST_P(ParkingLotTest, PostRacingParkLosesAndDuplicatesNoToken) {
   EXPECT_EQ(StateOf(spot), 0u);
 }
 
-// The timed protocol of DescheduleImpl, without the TM around it: per round
-// the owner arms an epoch and parks for either token; a waker posts the wake
-// token and a ticker posts a timeout for the round's epoch (or, some rounds,
-// a stale one) at random offsets. Whatever the interleaving, the round must
-// consume the wake token exactly once — through the park, or through the
-// timeout drain when the timeout won — and leave no wake token or sleeper
-// bit behind.
+// The timed protocol of TmSystem::ParkWaiter, without the TM around it: per
+// round the owner arms an epoch and parks for either token; a waker posts the
+// wake token and a ticker posts a timeout for the round's epoch (or, some
+// rounds, a stale one) at random offsets. Whatever the interleaving, the round
+// must consume the wake token exactly once — through the park, or through the
+// timeout drain when the timeout won — and leave no wake token or sleeper bit
+// behind.
 TEST_P(ParkingLotTest, WakeVsTimeoutTokensAccountedExactly) {
   ParkSpot spot;
   std::barrier round_start(3);

@@ -56,7 +56,7 @@ TEST(RetryOrigRegistryTest, OwnReleasedOrecDoesNotBlockSleep) {
   // mo: relaxed — pre-concurrency test setup; the waker thread is created
   // afterwards and thread creation orders the store before it.
   o.word.store(Orec::MakeVersion(11), std::memory_order_relaxed);
-  std::vector<RetryOrigRegistry::ReleasedOrec> released = {
+  std::vector<ReleasedOrecWord> released = {
       {&o, Orec::MakeVersion(11)}};
   TxDesc d(0, 1);
   std::thread waker([&] {
